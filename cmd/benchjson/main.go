@@ -41,7 +41,7 @@
 // (checkd/recovery drains a checkpointing job mid-run and times a fresh
 // supervisor from startup scan to the resumed job's verdict).
 //
-// The "obs-overhead/" families pin the instrumentation tax: the same
+// The "obs-overhead/levelsync" row pins the instrumentation tax: the same
 // exploration run with Options.Metrics off (the baseline states/sec) and
 // on, with the relative slowdown in "overhead_pct" — the number the
 // acceptance gate holds below 3%. Each mode's wall time is the best of
@@ -83,7 +83,7 @@ type benchmark struct {
 	// zero (omitted) on the engine families.
 	JobsPerSec      float64 `json:"jobs_per_sec,omitempty"`
 	RecoverySeconds float64 `json:"recovery_seconds,omitempty"`
-	// The obs-overhead families report the metrics-registry slowdown in
+	// The obs-overhead row reports the metrics-registry slowdown in
 	// percent of baseline states/sec; omitted elsewhere.
 	OverheadPct float64 `json:"overhead_pct,omitempty"`
 }
@@ -242,93 +242,81 @@ func run(out string, pr int, config string) error {
 }
 
 // benchObsOverhead measures the metrics registry's states/sec tax on the
-// two CI-pinned exploration shapes — the level-synchronized parallel check
-// (BenchmarkParallelCheck) and the work-stealing check
-// (BenchmarkWorkStealCheck) — by running the same spec with Options.Metrics
-// off and on. Repetitions interleave the two modes and each mode keeps its
-// best wall time, so a background scheduling hiccup cannot masquerade as
-// instrumentation overhead.
+// CI-pinned exploration shape (BenchmarkParallelCheck) by running the same
+// spec with Options.Metrics off and on. Repetitions interleave the two
+// modes and each mode keeps its best wall time, so a background scheduling
+// hiccup cannot masquerade as instrumentation overhead.
 func benchObsOverhead(rcfg raftmongo.Config) ([]benchmark, error) {
 	const (
-		reps          = 9 // paired samples per shape; the median ratio is reported
+		name          = "obs-overhead/levelsync"
+		reps          = 9 // paired samples; the median ratio is reported
 		runsPerSample = 3 // checks per timed sample, amortizing timer/load noise
 	)
-	shapes := []struct {
-		name  string
-		sched tla.Schedule
-	}{
-		{"obs-overhead/levelsync", tla.ScheduleLevelSync},
-		{"obs-overhead/worksteal", tla.ScheduleWorkSteal},
+	one := func(instrument bool) (int, error) {
+		var opts tla.Options
+		if instrument {
+			opts.Metrics = obs.NewRegistry()
+		}
+		res, err := tla.Check(raftmongo.SpecV2(rcfg), opts)
+		if err != nil {
+			return 0, err
+		}
+		return res.Distinct, nil
 	}
-	var rows []benchmark
-	for _, sh := range shapes {
-		one := func(instrument bool) (int, float64, error) {
-			opts := tla.Options{Schedule: sh.sched}
+	// Warm-up run: page in the spec's code paths before timing.
+	if _, err := one(false); err != nil {
+		return nil, fmt.Errorf("%s: %w", name, err)
+	}
+	var distinct int
+	ratios := make([]float64, 0, reps)
+	onWalls := make([]float64, 0, reps)
+	for r := 0; r < reps; r++ {
+		// Each rep times the two modes back-to-back and keeps their
+		// ratio: machine load varies slowly relative to one run, so it
+		// cancels within a pair where it would swamp a min-of-N of
+		// absolute walls. Alternating which mode runs first keeps a
+		// monotone load trend from biasing the ratio either way.
+		order := []bool{false, true}
+		if r%2 == 1 {
+			order = []bool{true, false}
+		}
+		var wallOff, wallOn float64
+		for _, instrument := range order {
+			start := time.Now()
+			for n := 0; n < runsPerSample; n++ {
+				d, err := one(instrument)
+				if err != nil {
+					return nil, fmt.Errorf("%s: %w", name, err)
+				}
+				distinct = d
+			}
+			wall := time.Since(start).Seconds() / runsPerSample
 			if instrument {
-				opts.Metrics = obs.NewRegistry()
+				wallOn = wall
+			} else {
+				wallOff = wall
 			}
-			res, err := tla.Check(raftmongo.SpecV2(rcfg), opts)
-			if err != nil {
-				return 0, 0, err
-			}
-			return res.Distinct, 0, nil
 		}
-		// Warm-up run: page in the spec's code paths before timing.
-		if _, _, err := one(false); err != nil {
-			return nil, fmt.Errorf("%s: %w", sh.name, err)
-		}
-		var distinct int
-		ratios := make([]float64, 0, reps)
-		onWalls := make([]float64, 0, reps)
-		for r := 0; r < reps; r++ {
-			// Each rep times the two modes back-to-back and keeps their
-			// ratio: machine load varies slowly relative to one run, so it
-			// cancels within a pair where it would swamp a min-of-N of
-			// absolute walls. Alternating which mode runs first keeps a
-			// monotone load trend from biasing the ratio either way.
-			order := []bool{false, true}
-			if r%2 == 1 {
-				order = []bool{true, false}
-			}
-			var wallOff, wallOn float64
-			for _, instrument := range order {
-				start := time.Now()
-				for n := 0; n < runsPerSample; n++ {
-					d, _, err := one(instrument)
-					if err != nil {
-						return nil, fmt.Errorf("%s: %w", sh.name, err)
-					}
-					distinct = d
-				}
-				wall := time.Since(start).Seconds() / runsPerSample
-				if instrument {
-					wallOn = wall
-				} else {
-					wallOff = wall
-				}
-			}
-			ratios = append(ratios, wallOn/wallOff)
-			onWalls = append(onWalls, wallOn)
-		}
-		// Median of the paired ratios is the overhead estimate; the median
-		// instrumented wall anchors the reported throughput.
-		sort.Float64s(ratios)
-		sort.Float64s(onWalls)
-		ratio := ratios[reps/2]
-		bestOn := onWalls[reps/2]
-		instSS := float64(distinct) / bestOn
-		baseSS := instSS * ratio
-		rows = append(rows, benchmark{
-			Name:           sh.name,
-			DistinctStates: distinct,
-			BaselineStates: distinct,
-			Reduction:      1,
-			StatesPerSec:   instSS,
-			WallSeconds:    bestOn,
-			OverheadPct:    (1 - instSS/baseSS) * 100,
-		})
+		ratios = append(ratios, wallOn/wallOff)
+		onWalls = append(onWalls, wallOn)
 	}
-	return rows, nil
+	// Median of the paired ratios is the overhead estimate; the median
+	// instrumented wall anchors the reported throughput.
+	sort.Float64s(ratios)
+	sort.Float64s(onWalls)
+	ratio := ratios[reps/2]
+	bestOn := onWalls[reps/2]
+	instSS := float64(distinct) / bestOn
+	baseSS := instSS * ratio
+	return []benchmark{{
+		Name:           name,
+		DistinctStates: distinct,
+		BaselineStates: distinct,
+		Reduction:      1,
+		StatesPerSec:   instSS,
+		WallSeconds:    bestOn,
+		OverheadPct:    (1 - instSS/baseSS) * 100,
+	}}, nil
 }
 
 // benchCheckd measures the checking service through an in-process

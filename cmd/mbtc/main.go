@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	mbtc -scenario write_3_and_replicate [-spec v2] [-list] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] [-schedule MODE] [-arena] [-deadline DUR] [-progress-every DUR]
+//	mbtc -scenario write_3_and_replicate [-spec v2] [-list] [-workers N] [-deadline DUR] [-progress-every DUR]
 //	mbtc -fuzz [-steps 400] [-seed 7] [-sync-before-writes] [-flawed]
 package main
 
@@ -40,11 +40,6 @@ func main() {
 		syncFirst    = flag.Bool("sync-before-writes", false, "fully sync all followers before writes (the paper's mitigation)")
 		flawed       = flag.Bool("flawed", false, "enable the flawed initial-sync quorum rule and recent-only initial sync")
 		workers      = flag.Int("workers", 0, "trace-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		symmetry     = flag.Bool("symmetry", false, "declare node ids interchangeable on the specification (note: trace checking ignores symmetry)")
-		por          = flag.Bool("por", false, "ample-set partial-order reduction (accepted for CLI uniformity; trace checking must keep every state consistent with the trace prefix)")
-		memBudget    = flag.Int64("mem-budget", 0, "visited-set spill budget (accepted for CLI uniformity; trace checking keeps its frontier resident)")
-		schedule     = flag.String("schedule", "levelsync", "exploration schedule: levelsync/level-sync or worksteal/work-steal (accepted for CLI uniformity; trace checking advances one observation at a time)")
-		arena        = flag.Bool("arena", false, "encoded-state retention arena (accepted for CLI uniformity; trace checking retains only the live frontier)")
 		deadline     = flag.Duration("deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); over-deadline runs stop like an interrupt, with partial results")
 		progEvery    = flag.Duration("progress-every", 0, "print a one-line trace-checking status (step, frontier) to stderr this often, e.g. 5s (0 = off)")
 	)
@@ -64,13 +59,13 @@ func main() {
 	// a second one kills the process through the default handler.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *scenarioName, *specVariant, *fuzz, *steps, *seed, *syncFirst, *flawed, *workers, *symmetry, *por, *memBudget, *schedule, *arena, *deadline, *progEvery); err != nil {
+	if err := run(ctx, *scenarioName, *specVariant, *fuzz, *steps, *seed, *syncFirst, *flawed, *workers, *deadline, *progEvery); err != nil {
 		fmt.Fprintln(os.Stderr, "mbtc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, workers int, symmetry, por bool, memBudget int64, schedule string, arena bool, deadline, progEvery time.Duration) error {
+func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, workers int, deadline, progEvery time.Duration) error {
 	topts := tla.TraceOptions{Workers: workers, Context: ctx}
 	if deadline > 0 {
 		topts.Deadline = time.Now().Add(deadline)
@@ -81,33 +76,6 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 	}
 	if err := topts.Validate(); err != nil {
 		return err
-	}
-	if sched, err := tla.ParseSchedule(schedule); err != nil {
-		return err
-	} else if sched != tla.ScheduleLevelSync {
-		// Accepted for CLI uniformity with minitlc/mbtcg: the frontier
-		// method advances observation by observation, so there is no level
-		// structure to reschedule.
-		fmt.Fprintln(os.Stderr, "mbtc: warning: -schedule worksteal was downgraded: trace checking advances one observation at a time; -schedule applies to full exploration (minitlc, mbtcg) only")
-	}
-	if por {
-		// Accepted for CLI uniformity with minitlc: pruning successors
-		// would discard frontier states the next observation might need —
-		// the frontier method must keep every state consistent with the
-		// trace prefix, so there is nothing sound to defer.
-		fmt.Fprintln(os.Stderr, "mbtc: note: trace checking explores only trace-consistent states; -por applies to full exploration (minitlc) only")
-	}
-	if arena {
-		// Accepted for CLI uniformity with minitlc/mbtcg: the frontier
-		// method retains only the live frontier plus its explanation spine,
-		// so there is no discovered-state set to move into an arena.
-		fmt.Fprintln(os.Stderr, "mbtc: note: trace checking retains only the live frontier; -arena has no effect")
-	}
-	if memBudget != 0 {
-		// The flag is accepted for CLI uniformity with minitlc/mbtcg; the
-		// frontier method holds only the states consistent with the trace
-		// prefix, so there is no visited set to spill.
-		fmt.Fprintln(os.Stderr, "mbtc: note: trace checking keeps its frontier in memory; -mem-budget has no effect")
 	}
 	var (
 		cfg      replset.Config
@@ -155,13 +123,6 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 	}
 
 	ccfg := mbtc.CheckConfig(cfg.Nodes)
-	if symmetry {
-		// The flag is accepted for CLI uniformity with minitlc, but the
-		// frontier method cannot use it: observations name concrete nodes,
-		// so symmetric-but-distinct frontier states must stay distinct.
-		// Deliberately not set on ccfg — trace checking would ignore it.
-		fmt.Fprintln(os.Stderr, "mbtc: note: trace checking ignores symmetry (observations name concrete nodes)")
-	}
 	var spec *tla.Spec[raftmongo.State]
 	switch specVariant {
 	case "v1":

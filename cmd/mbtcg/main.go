@@ -7,8 +7,8 @@
 //
 // Usage:
 //
-//	mbtcg [-dot array_ot.dot] [-emit generated_test.go] [-coverage] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] \
-//	      [-schedule levelsync|worksteal] [-arena] [-deadline DUR] [-progress-every DUR] [-journal FILE]
+//	mbtcg [-dot array_ot.dot] [-emit generated_test.go] [-coverage] [-workers N] [-mem-budget BYTES] \
+//	      [-arena] [-deadline DUR] [-progress-every DUR] [-journal FILE]
 package main
 
 import (
@@ -36,47 +36,26 @@ func main() {
 		emitPath  = flag.String("emit", "", "write the generated cases as a Go test file")
 		withCov   = flag.Bool("coverage", false, "print the §5.2 coverage comparison table")
 		workers   = flag.Int("workers", 0, "model-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		symmetry  = flag.Bool("symmetry", false, "symmetry reduction (accepted for CLI uniformity; array_ot has none)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction (accepted for CLI uniformity; array_ot declares no transition independence)")
 		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
-		schedule  = flag.String("schedule", "levelsync", "exploration schedule: levelsync or level-sync (deterministic BFS and DOT output), worksteal or work-steal (barrier-free; same cases, nondeterministic graph order)")
 		arena     = flag.Bool("arena", false, "serve the state graph from the checker's encoded-state arena instead of live values (with -mem-budget it spills to disk, so generation runs on graphs that never fit in RAM)")
 		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the exploration, e.g. 90s or 10m (0 = none); generation needs the complete graph, so an over-deadline run aborts with the partial-state count")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line exploration status to stderr this often, e.g. 5s (0 = off); works under both schedules")
+		progEvery = flag.Duration("progress-every", 0, "print a one-line exploration status to stderr this often, e.g. 5s (0 = off)")
 		journal   = flag.String("journal", "", "append the exploration's run journal (JSONL) to this file")
 	)
 	flag.Parse()
-	if *symmetry {
-		// array_ot's clients are not interchangeable: the state-space
-		// constraint orders them by ID and operation values encode the
-		// originating client, so a client permutation is not a spec
-		// automorphism — quotienting on it would drop generated cases.
-		fmt.Fprintln(os.Stderr, "mbtcg: note: array_ot has no symmetric identities (clients act in ID order); -symmetry has no effect")
-	}
-	if *por {
-		// Every pair of concurrent array_ot operations is transformed
-		// against each other, so no two client moves commute — the spec
-		// declares no independence, and generation needs every terminal
-		// state anyway. The flag stays a warned no-op.
-		fmt.Fprintln(os.Stderr, "mbtcg: note: array_ot declares no transition independence (concurrent operations transform against each other); -por has no effect")
-	}
 	// First signal stops the model checker cooperatively; generation needs
 	// the complete state graph, so an interrupted exploration aborts the
 	// pipeline with the partial-state count. A second signal kills normally.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *schedule, *arena, *por, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *arena, *deadline, *progEvery, *journal); err != nil {
 		fmt.Fprintln(os.Stderr, "mbtcg:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, schedule string, arena, por bool, deadline time.Duration, progEvery time.Duration, journal string) error {
-	sched, err := tla.ParseSchedule(schedule)
-	if err != nil {
-		return err
-	}
-	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, Schedule: sched, StateArena: arena, PartialOrder: por, Context: ctx}
+func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, arena bool, deadline time.Duration, progEvery time.Duration, journal string) error {
+	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, StateArena: arena, Context: ctx}
 	if deadline > 0 {
 		opts.Deadline = time.Now().Add(deadline)
 	}
@@ -95,15 +74,9 @@ func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers in
 	if err := opts.Validate(); err != nil {
 		return err
 	}
-	if sched == tla.ScheduleWorkSteal {
-		fmt.Fprintln(os.Stderr, "mbtcg: note: worksteal generates the same cases but numbers graph states nondeterministically; diff DOT output across runs only under levelsync")
-	}
 	cases, res, err := mbtcg.GenerateResult(arrayot.DefaultConfig(), dotPath, opts)
 	if err != nil {
 		return err
-	}
-	if sched == tla.ScheduleWorkSteal && res.Schedule != tla.ScheduleWorkSteal {
-		fmt.Fprintf(os.Stderr, "mbtcg: warning: -schedule worksteal was downgraded to %s (bounded depth, memory budgets, store plugs, and checkpoint/resume are level-synchronized)\n", res.Schedule)
 	}
 	fmt.Printf("model checked array_ot: %d distinct states; generated %d test cases (paper: 4,913)\n",
 		res.Distinct, len(cases))

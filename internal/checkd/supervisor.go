@@ -99,9 +99,8 @@ type Config struct {
 	// jobs that do not set their own (0 = resident).
 	MemBudgetPerJob int64
 	// ProgressEvery is the cadence of each running job's progress
-	// snapshots (default 1s). Time-based progress works under both engine
-	// schedulers — the level-boundary callback never fires under
-	// work-stealing — so this is what keeps states/sec live on every job.
+	// snapshots (default 1s), independent of how long one BFS level
+	// takes.
 	ProgressEvery time.Duration
 	// FS routes the engine's durable I/O; nil = the real filesystem.
 	// Tests plug a tla.FaultFS here to exercise the retry policies.
@@ -505,10 +504,16 @@ func (s *Supervisor) Cancel(id string) error {
 		cancel(errUserCancel)
 		return nil
 	default:
+		// Persist before publishing, still under j.mu: neither a status
+		// reader nor the worker's pop can see the job between the write
+		// and the flip.
+		perr := s.persistResult(j.id, persistedResult{State: JobCanceled, Attempts: j.attempts, Error: errUserCancel.Error()})
 		j.state = JobCanceled
 		j.errMsg = errUserCancel.Error()
 		j.mu.Unlock()
-		s.persistTerminal(j)
+		if perr != nil {
+			s.cfg.Logf("checkd: %v", perr)
+		}
 		s.cfg.Logf("checkd: job %s canceled before running", id)
 		return nil
 	}
@@ -596,8 +601,8 @@ func (s *Supervisor) buildOptions(j *job, ctx context.Context, deadline time.Tim
 	opts.Context = ctx
 	opts.Deadline = deadline
 	opts.CheckpointMeta = map[string]string{"job_id": j.id, "spec": j.req.Spec}
-	// Time-based progress (not the level-boundary callback): states/sec
-	// stays live under both engine schedulers.
+	// Time-based progress (not the level-boundary callback): a job
+	// reports on a fixed cadence however wide its levels are.
 	opts.Progress = func(p tla.Progress) { j.observeProgress(p, s.cfg.Now()) }
 	opts.ProgressEvery = s.cfg.ProgressEvery
 	opts.Metrics = j.registry()
@@ -640,36 +645,41 @@ func (s *Supervisor) hasCheckpoint(j *job) bool {
 	return err == nil
 }
 
-// persistTerminal writes the job's result.json. Persistence failure is
-// logged, not fatal: the in-memory record still serves the API, and the
-// worst case after a crash is re-running a finished job.
-func (s *Supervisor) persistTerminal(j *job) {
-	j.mu.Lock()
-	pr := persistedResult{State: j.state, Attempts: j.attempts, Error: j.errMsg, Outcome: j.outcome}
-	j.mu.Unlock()
-	if err := os.MkdirAll(s.jobDir(j.id), 0o755); err != nil {
-		s.cfg.Logf("checkd: persisting result of %s: %v", j.id, err)
-		return
+// persistResult writes job id's result.json. Callers log a failure
+// rather than fail on it: the in-memory record still serves the API, and
+// the worst case after a crash is re-running a finished job.
+func (s *Supervisor) persistResult(id string, pr persistedResult) error {
+	if err := os.MkdirAll(s.jobDir(id), 0o755); err != nil {
+		return fmt.Errorf("persisting result of %s: %w", id, err)
 	}
-	if err := writeJSON(filepath.Join(s.jobDir(j.id), "result.json"), &pr); err != nil {
-		s.cfg.Logf("checkd: persisting result of %s: %v", j.id, err)
+	if err := writeJSON(filepath.Join(s.jobDir(id), "result.json"), &pr); err != nil {
+		return fmt.Errorf("persisting result of %s: %w", id, err)
 	}
+	return nil
 }
 
-// complete moves the job to a terminal state and persists it; done
-// outcomes also enter the verdict cache.
+// complete moves the job to a terminal state. The result record, the
+// completion metrics and (for done outcomes) the verdict cache are all
+// written before the state flip publishes the job as terminal: a client
+// that reads the terminal state and resubmits at once must hit the cache,
+// and a crash after the flip must not re-run the job.
 func (s *Supervisor) complete(j *job, state JobState, out *Outcome, errMsg string) {
+	j.mu.Lock()
+	attempts := j.attempts
+	j.mu.Unlock()
+	if err := s.persistResult(j.id, persistedResult{State: state, Attempts: attempts, Error: errMsg, Outcome: out}); err != nil {
+		s.cfg.Logf("checkd: %v", err)
+	}
+	s.mCompleted[state].Inc()
+	if state == JobDone && out != nil {
+		s.cache.put(j.fp, out)
+	}
 	j.mu.Lock()
 	j.state = state
 	j.outcome = out
 	j.errMsg = errMsg
 	j.cancel = nil
 	j.mu.Unlock()
-	s.persistTerminal(j)
-	s.mCompleted[state].Inc()
-	if state == JobDone && out != nil {
-		s.cache.put(j.fp, out)
-	}
 	s.cfg.Logf("checkd: job %s %s%s", j.id, state, suffixIf(errMsg))
 }
 

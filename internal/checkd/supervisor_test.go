@@ -99,6 +99,52 @@ func TestVerdictCache(t *testing.T) {
 	}
 }
 
+// TestResubmitOnDoneHitsCache is the publish-before-cache stress: the
+// moment a job reads "done" its result.json, its completion counter and
+// its verdict-cache entry must already exist, so a client that polls in a
+// tight loop and resubmits at once is always served from the cache.
+func TestResubmitOnDoneHitsCache(t *testing.T) {
+	s := newTestSup(t, nil)
+	done := s.Metrics().Counter(`checkd_jobs_completed_total{state="done"}`)
+	const rounds = 20
+	for k := 0; k < rounds; k++ {
+		req := JobRequest{Spec: "slow", Config: SpecParams{Nodes: 3 + k}}
+		first, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(30 * time.Second)
+		for {
+			st, err := s.Status(first.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.State == JobDone {
+				break
+			}
+			if st.State.Terminal() || time.Now().After(deadline) {
+				t.Fatalf("round %d: job %s is %q, want done", k, first.ID, st.State)
+			}
+		}
+		hit, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !hit.Cached {
+			t.Fatalf("round %d: resubmission right after done missed the verdict cache", k)
+		}
+		if _, err := os.Stat(filepath.Join(s.jobDir(first.ID), "result.json")); err != nil {
+			t.Fatalf("round %d: job reads done before its result.json exists: %v", k, err)
+		}
+		if got := done.Value(); got != int64(k+1) {
+			t.Fatalf("round %d: done completions = %d, want %d", k, got, k+1)
+		}
+	}
+	if s.CacheLen() != rounds {
+		t.Fatalf("cache len = %d, want %d", s.CacheLen(), rounds)
+	}
+}
+
 // TestPersistentFaultRetriesWithBackoff: a persistent fault on the
 // checkpoint manifest fails the attempt (the engine's internal retries
 // only absorb transient errors); the supervisor retries with backoff and

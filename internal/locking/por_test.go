@@ -10,9 +10,9 @@ import (
 
 // TestPORMatchesOracle is the locking spec's POR soundness lock, mirroring
 // the raftmongo grid: across actor counts, symmetry on/off, a symmetric
-// tripwire invariant on/off, both schedulers and resident/spilled visited
-// sets, a release-pruned run must reproduce the unpruned sequential
-// oracle's verdict — same violation-ness, same violated invariant — with
+// tripwire invariant on/off and resident/spilled visited sets, a
+// release-pruned run must reproduce the unpruned sequential oracle's
+// verdict — same violation-ness, same violated invariant — with
 // no more distinct states and the same terminal count on clean runs.
 func TestPORMatchesOracle(t *testing.T) {
 	for _, actors := range []int{2, 3} {
@@ -39,36 +39,33 @@ func TestPORMatchesOracle(t *testing.T) {
 					return spec
 				}
 				want, wantErr := tla.Check(build(), tla.Options{Workers: 1})
-				for _, schedule := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-					for _, budget := range []int64{0, 1} {
-						desc := fmt.Sprintf("actors=%d/symmetric=%v/tripwire=%v/%s/budget=%d", actors, symmetric, tripwire, schedule, budget)
-						got, gotErr := tla.Check(build(), tla.Options{
-							Workers:           4,
-							Schedule:          schedule,
-							MemoryBudgetBytes: budget,
-							PartialOrder:      true,
-						})
-						if !got.PartialOrder {
-							t.Fatalf("%s: POR requested on a declaring spec but Result.PartialOrder is false", desc)
+				for _, budget := range []int64{0, 1} {
+					desc := fmt.Sprintf("actors=%d/symmetric=%v/tripwire=%v/budget=%d", actors, symmetric, tripwire, budget)
+					got, gotErr := tla.Check(build(), tla.Options{
+						Workers:           4,
+						MemoryBudgetBytes: budget,
+						PartialOrder:      true,
+					})
+					if !got.PartialOrder {
+						t.Fatalf("%s: POR requested on a declaring spec but Result.PartialOrder is false", desc)
+					}
+					if errors.Is(wantErr, tla.ErrInvariantViolated) != errors.Is(gotErr, tla.ErrInvariantViolated) {
+						t.Fatalf("%s: verdicts differ: oracle err=%v por err=%v", desc, wantErr, gotErr)
+					}
+					if wantErr != nil {
+						if want.Violation.Invariant != got.Violation.Invariant {
+							t.Fatalf("%s: violated invariants differ: %s vs %s", desc, want.Violation.Invariant, got.Violation.Invariant)
 						}
-						if errors.Is(wantErr, tla.ErrInvariantViolated) != errors.Is(gotErr, tla.ErrInvariantViolated) {
-							t.Fatalf("%s: verdicts differ: oracle err=%v por err=%v", desc, wantErr, gotErr)
-						}
-						if wantErr != nil {
-							if want.Violation.Invariant != got.Violation.Invariant {
-								t.Fatalf("%s: violated invariants differ: %s vs %s", desc, want.Violation.Invariant, got.Violation.Invariant)
-							}
-							continue
-						}
-						if gotErr != nil {
-							t.Fatalf("%s: por err=%v on a clean spec", desc, gotErr)
-						}
-						if got.Distinct > want.Distinct {
-							t.Fatalf("%s: POR explored more states than the oracle: %d > %d", desc, got.Distinct, want.Distinct)
-						}
-						if got.Terminal != want.Terminal {
-							t.Fatalf("%s: terminal counts differ: oracle=%d por=%d", desc, want.Terminal, got.Terminal)
-						}
+						continue
+					}
+					if gotErr != nil {
+						t.Fatalf("%s: por err=%v on a clean spec", desc, gotErr)
+					}
+					if got.Distinct > want.Distinct {
+						t.Fatalf("%s: POR explored more states than the oracle: %d > %d", desc, got.Distinct, want.Distinct)
+					}
+					if got.Terminal != want.Terminal {
+						t.Fatalf("%s: terminal counts differ: oracle=%d por=%d", desc, want.Terminal, got.Terminal)
 					}
 				}
 			}

@@ -72,8 +72,7 @@ func GenerateOpts(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestC
 }
 
 // GenerateResult is GenerateOpts returning the full checker Result
-// alongside the cases, so callers can inspect the effective schedule,
-// counters, or violation. With opts.StateArena the graph is served from
+// alongside the cases, so callers can inspect its counters or violation. With opts.StateArena the graph is served from
 // the checker's retained-state arena — under a MemoryBudgetBytes it spills
 // to disk, so the generation pipeline runs on state graphs that never fit
 // in RAM (arrayot.State implements tla.BinaryDecoder). The graph is closed

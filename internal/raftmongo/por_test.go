@@ -63,8 +63,8 @@ func assertTraceIsBehaviour(t *testing.T, desc string, spec *tla.Spec[State], v 
 
 // TestPORMatchesOracle is the spec-level soundness lock for partial-order
 // reduction on the paper's replica-set spec: across both variants,
-// symmetry on/off, a tripwire invariant on/off, both schedulers and
-// resident/spilled visited sets, a pruned run must reproduce the unpruned
+// symmetry on/off, a tripwire invariant on/off and resident/spilled
+// visited sets, a pruned run must reproduce the unpruned
 // sequential oracle's verdict — same violation-ness, same violated
 // invariant, a real counterexample trace — and, on clean runs, the same
 // terminal count with no more distinct states than the oracle.
@@ -95,37 +95,34 @@ func TestPORMatchesOracle(t *testing.T) {
 					return spec
 				}
 				want, wantErr := tla.Check(build(), porOracleOpts)
-				for _, schedule := range []tla.Schedule{tla.ScheduleLevelSync, tla.ScheduleWorkSteal} {
-					for _, budget := range []int64{0, 1} {
-						desc := fmt.Sprintf("%s/symmetric=%v/tripwire=%v/%s/budget=%d", name, symmetric, tripwire, schedule, budget)
-						got, gotErr := tla.Check(build(), tla.Options{
-							Workers:           4,
-							Schedule:          schedule,
-							MemoryBudgetBytes: budget,
-							PartialOrder:      true,
-						})
-						if !got.PartialOrder {
-							t.Fatalf("%s: POR requested on a declaring spec but Result.PartialOrder is false", desc)
+				for _, budget := range []int64{0, 1} {
+					desc := fmt.Sprintf("%s/symmetric=%v/tripwire=%v/budget=%d", name, symmetric, tripwire, budget)
+					got, gotErr := tla.Check(build(), tla.Options{
+						Workers:           4,
+						MemoryBudgetBytes: budget,
+						PartialOrder:      true,
+					})
+					if !got.PartialOrder {
+						t.Fatalf("%s: POR requested on a declaring spec but Result.PartialOrder is false", desc)
+					}
+					if errors.Is(wantErr, tla.ErrInvariantViolated) != errors.Is(gotErr, tla.ErrInvariantViolated) {
+						t.Fatalf("%s: verdicts differ: oracle err=%v por err=%v", desc, wantErr, gotErr)
+					}
+					if wantErr != nil {
+						if want.Violation.Invariant != got.Violation.Invariant {
+							t.Fatalf("%s: violated invariants differ: %s vs %s", desc, want.Violation.Invariant, got.Violation.Invariant)
 						}
-						if errors.Is(wantErr, tla.ErrInvariantViolated) != errors.Is(gotErr, tla.ErrInvariantViolated) {
-							t.Fatalf("%s: verdicts differ: oracle err=%v por err=%v", desc, wantErr, gotErr)
-						}
-						if wantErr != nil {
-							if want.Violation.Invariant != got.Violation.Invariant {
-								t.Fatalf("%s: violated invariants differ: %s vs %s", desc, want.Violation.Invariant, got.Violation.Invariant)
-							}
-							assertTraceIsBehaviour(t, desc, build(), got.Violation)
-							continue
-						}
-						if gotErr != nil {
-							t.Fatalf("%s: por err=%v on a clean spec", desc, gotErr)
-						}
-						if got.Distinct > want.Distinct {
-							t.Fatalf("%s: POR explored more states than the oracle: %d > %d", desc, got.Distinct, want.Distinct)
-						}
-						if got.Terminal != want.Terminal {
-							t.Fatalf("%s: terminal counts differ (deadlock preservation): oracle=%d por=%d", desc, want.Terminal, got.Terminal)
-						}
+						assertTraceIsBehaviour(t, desc, build(), got.Violation)
+						continue
+					}
+					if gotErr != nil {
+						t.Fatalf("%s: por err=%v on a clean spec", desc, gotErr)
+					}
+					if got.Distinct > want.Distinct {
+						t.Fatalf("%s: POR explored more states than the oracle: %d > %d", desc, got.Distinct, want.Distinct)
+					}
+					if got.Terminal != want.Terminal {
+						t.Fatalf("%s: terminal counts differ (deadlock preservation): oracle=%d por=%d", desc, want.Terminal, got.Terminal)
 					}
 				}
 			}

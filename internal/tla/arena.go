@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 )
 
 // This file implements the retained-state arena: the answer to the memory
@@ -72,9 +71,7 @@ type arenaSeg struct {
 }
 
 // stateArena is the append-only encoded-state store. It is single-owner:
-// the level-synchronized engine touches it from the merge goroutine only,
-// and the work-stealing engine serializes access under its registration
-// lock.
+// the engine touches it from the merge goroutine only.
 type stateArena struct {
 	budget   int64 // 0 = never spill
 	fsys     FS
@@ -86,11 +83,6 @@ type stateArena struct {
 	fileSize int64
 	degraded bool // a persistent spill-write failure switched to live retention of segments
 
-	// spilledAtomic mirrors fileSize for lock-free readers: the arena is
-	// single-owner, but the work-stealing progress ticker samples spill
-	// volume from outside the registration lock.
-	spilledAtomic atomic.Int64
-
 	// Edge recording (Options.RecordGraph + Options.StateArena): graph
 	// edges live in their own segment list of fixed arenaEdgeBytes records,
 	// sharing the resident budget and the spill file with the encodings.
@@ -98,7 +90,7 @@ type stateArena struct {
 	edgeSegs    []arenaSeg
 	edgeCount   int
 	lastFrom    int  // highest From appended so far; -1 before the first edge
-	edgesMono   bool // From values arrived in nondecreasing order (level-sync)
+	edgesMono   bool // From values arrived in nondecreasing order (the default frontier)
 }
 
 func newStateArena(budget int64, fsys FS, em *engineMetrics) *stateArena {
@@ -275,7 +267,6 @@ func (a *stateArena) flush() error {
 			}
 			seg.fileOff = a.fileSize
 			a.fileSize += int64(seg.size)
-			a.spilledAtomic.Store(a.fileSize)
 			seg.buf = nil
 			seg.spilled = true
 			a.resident -= int64(seg.size)
@@ -293,11 +284,6 @@ func (a *stateArena) degradedMemory() bool { return a.degraded }
 // memory — the arena's half of Progress.ResidentBytes. Owner goroutine
 // only, like add/flush.
 func (a *stateArena) residentBytes() int64 { return a.resident }
-
-// spilledBytesAtomic reports the bytes written to the spill file via the
-// lock-free mirror of fileSize — safe from any goroutine, which is what
-// the work-stealing progress ticker needs.
-func (a *stateArena) spilledBytesAtomic() int64 { return a.spilledAtomic.Load() }
 
 // encoding appends state id's canonical encoding to buf and returns the
 // extended slice — always a copy, never an alias of a resident segment,
@@ -443,9 +429,8 @@ func (r *retainer[S]) retainLive(id int, s S) {
 }
 
 // stateOf returns the live value of a not-yet-expanded state. Safe for
-// concurrent readers while no add/retainLive/release runs (the
-// level-synchronized expansion phase); the work-stealing engine serializes
-// calls under its registration lock instead.
+// concurrent readers while no add/retainLive/release runs (the expansion
+// phase).
 func (r *retainer[S]) stateOf(id int) S {
 	if r.arena != nil {
 		return r.live[id]

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -91,7 +92,7 @@ func TestArenaGraphMatchesResident(t *testing.T) {
 }
 
 // keyEdges projects a graph's edges onto state keys — the id-independent
-// form work-steal runs (nondeterministic numbering) are compared in.
+// form runs with different state numberings are compared in.
 func keyEdges[S State](t *testing.T, g *Graph[S]) []string {
 	t.Helper()
 	var out []string
@@ -105,37 +106,50 @@ func keyEdges[S State](t *testing.T, g *Graph[S]) []string {
 	return out
 }
 
-// TestArenaGraphWorkSteal: the work-steal schedule records the arena graph
-// too; state numbering is nondeterministic, so the comparison with the
-// level-sync run is on key-projected edges.
-func TestArenaGraphWorkSteal(t *testing.T) {
+// reversingFrontier hands out each BFS level in reverse discovery order, so
+// the merge records arena edges with decreasing From ids.
+type reversingFrontier struct{ next []int }
+
+func (f *reversingFrontier) Push(id int) { f.next = append(f.next, id) }
+
+func (f *reversingFrontier) NextLevel() []int {
+	level := f.next
+	f.next = nil
+	slices.Reverse(level)
+	return level
+}
+
+// TestArenaGraphUnorderedEdges: a caller-supplied frontier that expands a
+// level out of id order records the arena graph with non-monotone From ids;
+// the graph still matches the default run on key-projected edges, and the
+// DOT renderer falls back to sorting the whole edge list.
+func TestArenaGraphUnorderedEdges(t *testing.T) {
 	const max = 15
 	want, err := Check(binSpec(max, false), Options{RecordGraph: true})
 	if err != nil {
-		t.Fatalf("levelsync: %v", err)
+		t.Fatalf("default frontier: %v", err)
 	}
 	got, err := Check(binSpec(max, false), Options{
-		RecordGraph: true, StateArena: true, Schedule: ScheduleWorkSteal, Workers: 4,
+		RecordGraph: true, StateArena: true, Workers: 4, Frontier: &reversingFrontier{},
 	})
 	if err != nil {
-		t.Fatalf("worksteal: %v", err)
+		t.Fatalf("reversing frontier: %v", err)
 	}
-	if got.Schedule != ScheduleWorkSteal {
-		t.Fatalf("Schedule = %v, want worksteal to run as requested", got.Schedule)
+	if got.Graph.ret.arena.edgesMono {
+		t.Fatal("reversed levels recorded nondecreasing From ids; the test no longer reaches the unordered path")
 	}
 	if got.Graph.Len() != want.Graph.Len() {
-		t.Fatalf("worksteal graph = %d nodes, want %d", got.Graph.Len(), want.Graph.Len())
+		t.Fatalf("graph = %d nodes, want %d", got.Graph.Len(), want.Graph.Len())
 	}
 	gk, wk := keyEdges(t, got.Graph), keyEdges(t, want.Graph)
 	if len(gk) != len(wk) {
-		t.Fatalf("worksteal graph = %d edges, want %d", len(gk), len(wk))
+		t.Fatalf("graph = %d edges, want %d", len(gk), len(wk))
 	}
 	for i := range wk {
 		if gk[i] != wk[i] {
 			t.Fatalf("edge %d: %q, want %q", i, gk[i], wk[i])
 		}
 	}
-	// The DOT renderer must cope with nondecreasing-From being false.
 	var buf bytes.Buffer
 	if err := got.Graph.WriteDOT(&buf, "bincounter"); err != nil {
 		t.Fatalf("WriteDOT: %v", err)
@@ -178,39 +192,6 @@ func TestArenaDecodeTrace(t *testing.T) {
 	for i := range want.Violation.TraceActs {
 		if got.Violation.TraceActs[i] != want.Violation.TraceActs[i] {
 			t.Fatalf("trace act %d: %q, want %q", i, got.Violation.TraceActs[i], want.Violation.TraceActs[i])
-		}
-	}
-}
-
-// TestResultSchedule pins Result.Schedule: the schedule the run actually
-// used — worksteal when it can run, the documented level-sync downgrade
-// when an option forces it.
-func TestResultSchedule(t *testing.T) {
-	res, err := Check(counterSpec(5), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule != ScheduleLevelSync {
-		t.Fatalf("default Schedule = %v, want levelsync", res.Schedule)
-	}
-	res, err = Check(counterSpec(5), Options{Schedule: ScheduleWorkSteal})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Schedule != ScheduleWorkSteal {
-		t.Fatalf("Schedule = %v, want worksteal", res.Schedule)
-	}
-	for _, opts := range []Options{
-		{Schedule: ScheduleWorkSteal, MaxDepth: 3},
-		{Schedule: ScheduleWorkSteal, MemoryBudgetBytes: 1},
-		{Schedule: ScheduleWorkSteal, CheckpointDir: t.TempDir(), StateArena: true},
-	} {
-		res, err = Check(counterSpec(5), opts)
-		if err != nil {
-			t.Fatalf("%+v: %v", opts, err)
-		}
-		if res.Schedule != ScheduleLevelSync {
-			t.Fatalf("%+v: Schedule = %v, want the levelsync downgrade", opts, res.Schedule)
 		}
 	}
 }

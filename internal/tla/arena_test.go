@@ -176,30 +176,6 @@ func TestArenaMatchesLiveRetention(t *testing.T) {
 	}
 }
 
-// TestArenaUnderWorkSteal composes the two tentpole features: encoded
-// retention under the barrier-free scheduler must preserve counts and
-// produce replayable counterexamples.
-func TestArenaUnderWorkSteal(t *testing.T) {
-	spec := counterSpec(12)
-	assertWorkStealAgrees(t, "arena-worksteal", spec, Options{StateArena: true})
-
-	viol := counterSpec(8)
-	viol.Invariants = append(viol.Invariants, Invariant[counterState]{
-		Name: "ANeverFive",
-		Check: func(s counterState) error {
-			if s.A == 5 {
-				return errors.New("A reached 5")
-			}
-			return nil
-		},
-	})
-	res, err := Check(viol, Options{Workers: 4, Schedule: ScheduleWorkSteal, StateArena: true})
-	if !errors.Is(err, ErrInvariantViolated) {
-		t.Fatalf("err = %v, want violation", err)
-	}
-	assertTraceIsBehaviour(t, "arena-worksteal-violation", viol, res.Violation)
-}
-
 // TestArenaSymmetryTrace pins the exact-replay property under symmetry
 // reduction: the arena stores plain (not orbit-canonical) encodings, so
 // the replayed counterexample is byte-identical to live retention's even
@@ -260,5 +236,54 @@ func TestArenaGraphWithoutDecoder(t *testing.T) {
 	_, err = Check(counterSpec(3), Options{StateArena: true, RecordGraph: true, CheckpointDir: t.TempDir()})
 	if !errors.Is(err, ErrInvalidOptions) {
 		t.Fatalf("checkpointing graph without a decoder = %v, want ErrInvalidOptions", err)
+	}
+}
+
+// assertTraceIsBehaviour replays a reported counterexample against the
+// spec: Trace[0] must be an initial state, every step must be producible
+// by the recorded action, and the final state must violate the named
+// invariant.
+func assertTraceIsBehaviour[S State](t *testing.T, label string, spec *Spec[S], v *Violation[S]) {
+	t.Helper()
+	if v == nil || len(v.Trace) == 0 {
+		t.Fatalf("%s: violation without a trace", label)
+	}
+	isInit := false
+	for _, s := range spec.Init() {
+		if s.Key() == v.Trace[0].Key() {
+			isInit = true
+			break
+		}
+	}
+	if !isInit {
+		t.Fatalf("%s: trace does not start in an initial state: %s", label, v.Trace[0].Key())
+	}
+	for i := 1; i < len(v.Trace); i++ {
+		actName := v.TraceActs[i-1]
+		found := false
+		for _, a := range spec.Actions {
+			if a.Name != actName {
+				continue
+			}
+			for _, succ := range a.Next(v.Trace[i-1]) {
+				if succ.Key() == v.Trace[i].Key() {
+					found = true
+					break
+				}
+			}
+		}
+		if !found {
+			t.Fatalf("%s: step %d: %s does not lead from %s to %s", label, i, actName, v.Trace[i-1].Key(), v.Trace[i].Key())
+		}
+	}
+	last := v.Trace[len(v.Trace)-1]
+	violated := false
+	for _, inv := range spec.Invariants {
+		if inv.Name == v.Invariant {
+			violated = inv.Check(last) != nil
+		}
+	}
+	if !violated {
+		t.Fatalf("%s: final trace state does not violate %s: %s", label, v.Invariant, last.Key())
 	}
 }

@@ -146,7 +146,7 @@ func specFingerprint[S State](spec *Spec[S]) uint64 {
 }
 
 // optionsFingerprint hashes the options that change what a run explores or
-// how states are encoded; worker counts, schedules and budgets may differ
+// how states are encoded; worker counts and budgets may differ
 // between the checkpointing and the resuming run without affecting the
 // result, so they are deliberately not hashed. PartialOrder is: a pruned
 // run's frontier and visited set describe the reduced space, and resuming
@@ -158,7 +158,7 @@ func optionsFingerprint(o Options) uint64 {
 // Fingerprint hashes the result-shaping options — the exact hash checkpoint
 // manifests record as options_fp, so two option sets with equal
 // fingerprints produce interchangeable verdicts (and resumable
-// checkpoints) for the same spec. Worker counts, schedules, budgets and
+// checkpoints) for the same spec. Worker counts, budgets and
 // checkpoint paths deliberately do not contribute; see the manifest
 // validation in resumeRun. Exported for verdict caches keyed on
 // (spec, config, options) — see internal/checkd.

@@ -42,11 +42,11 @@ func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 
 // writeDOTEdges emits the edges in (From, To, Action) order. An
 // arena-backed graph whose edges were recorded with nondecreasing From
-// (level-sync: frontier ids ascend across levels) streams one From-block at
-// a time — sorting each contiguous block by (To, Action) is exactly the
+// (the default frontier: ids ascend across levels) streams one From-block
+// at a time — sorting each contiguous block by (To, Action) is exactly the
 // global order, without ever materializing the full edge list. Otherwise —
-// live graphs, or work-steal arena graphs — the list is materialized and
-// sorted whole.
+// live graphs, or arena graphs expanded in a caller-supplied frontier
+// order — the list is materialized and sorted whole.
 func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer) error {
 	less := func(edges []Edge, i, j int) bool {
 		if edges[i].From != edges[j].From {

@@ -35,17 +35,20 @@ import (
 // — is identical at every worker count and under every store (modulo
 // fingerprint collisions, which Options.CollisionFree rules out).
 
-// candidate is one successor produced during expansion, awaiting the merge.
-type candidate[S State] struct {
-	succ  S
-	act   string
-	entry *VisitedEntry
+// candidate is one successor produced during expansion, awaiting the merge:
+// the action's index in Spec.Actions, the claimed visited entry, and the
+// successor state's index in its chunk's news — or -1 when the merge needs
+// no state for it (see expandFrontier).
+type candidate struct {
+	act, succ int32
+	entry     *VisitedEntry
 }
 
 // chunkOut is the ordered output of expanding one contiguous frontier chunk.
 type chunkOut[S State] struct {
 	worker   int // the worker that expanded the chunk (metrics attribution)
-	cands    []candidate[S]
+	cands    []candidate
+	news     []S   // successor states the chunk's candidates index
 	perState []int // successor count per frontier state of the chunk
 	// ample is only appended under partial-order reduction: per frontier
 	// state, the number of ample candidates at the head of its candidate
@@ -138,7 +141,6 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 
 // runEngine is the unified level-synchronized exploration loop behind
 // Check: one implementation for every worker count and store combination.
-// (ScheduleWorkSteal runs the barrier-free loop in schedule.go instead.)
 func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStore, fr FrontierStore, em *engineMetrics) (res *Result[S], err error) {
 	res = &Result[S]{Spec: spec.Name}
 	if opts.RecordGraph {
@@ -422,12 +424,12 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	// delivers it to Options.Progress every ProgressEvery. The per-level
 	// delivery below is disabled then, so Progress never runs concurrently
 	// with itself.
-	var snap *progressSnap
+	var snap atomic.Pointer[Progress]
 	if opts.ProgressEvery > 0 {
-		snap = &progressSnap{}
+		snap.Store(&Progress{})
 		ticker := startProgressTicker(opts.ProgressEvery, func() {
 			if opts.Progress != nil {
-				opts.Progress(snap.load())
+				opts.Progress(*snap.Load())
 			}
 		})
 		defer ticker.stop()
@@ -437,7 +439,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	// sums the visited store's sealed runs and the arena's spill file, both
 	// of which only grow on this goroutine too.
 	report := func(frontier []int, level int) {
-		if opts.Progress == nil && snap == nil && em == nil {
+		if opts.Progress == nil && em == nil {
 			return
 		}
 		p := Progress{
@@ -457,11 +459,10 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 			p.SpillBytes += ret.arena.fileSize
 			p.ResidentBytes += ret.arena.residentBytes()
 		}
-		if snap != nil {
-			snap.store(p)
-		}
 		em.journalLevel(p)
-		if opts.Progress != nil && opts.ProgressEvery == 0 {
+		if opts.ProgressEvery > 0 {
+			snap.Store(&p)
+		} else if opts.Progress != nil {
 			opts.Progress(p)
 		}
 	}
@@ -500,13 +501,20 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		// Merge phase: replay candidates in deterministic order. doCand is
 		// one candidate's full treatment — counters, id assignment,
 		// invariants, edge recording.
-		doCand := func(c candidate[S], id, depth int) (*Violation[S], error) {
+		doCand := func(c candidate, news []S, id, depth int) (*Violation[S], error) {
 			res.Transitions++
+			act := spec.Actions[c.act].Name
 			var viol *Violation[S]
 			sid := c.entry.ID
 			if sid < 0 {
+				if c.succ < 0 {
+					// Expansion kept the state for the first candidate of
+					// every unassigned entry in merge order; reaching one
+					// without it is a checker bug, not a spec failure.
+					panic("tla: engine bug: a candidate without its successor state reached the merge unassigned")
+				}
 				var aerr error
-				viol, aerr = addState(c.succ, c.entry, id, c.act, depth+1)
+				viol, aerr = addState(news[c.succ], c.entry, id, act, depth+1)
 				if aerr != nil {
 					return nil, aerr
 				}
@@ -514,11 +522,11 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 			}
 			if res.Graph != nil {
 				if arenaGraph {
-					if aerr := ret.addEdge(id, c.act, sid); aerr != nil {
+					if aerr := ret.addEdge(id, act, sid); aerr != nil {
 						return nil, aerr
 					}
 				} else {
-					res.Graph.Edges = append(res.Graph.Edges, Edge{From: id, Action: c.act, To: sid})
+					res.Graph.Edges = append(res.Graph.Edges, Edge{From: id, Action: act, To: sid})
 				}
 			}
 			return viol, nil
@@ -566,7 +574,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 				ampleOK := false
 				for j := 0; j < k; j++ {
 					c := out.cands[ci+j]
-					viol, aerr := doCand(c, id, depth)
+					viol, aerr := doCand(c, out.news, id, depth)
 					if aerr != nil {
 						return res, aerr
 					}
@@ -584,7 +592,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 					em.onAmple(n - k)
 				} else {
 					for j := k; j < n; j++ {
-						viol, aerr := doCand(out.cands[ci+j], id, depth)
+						viol, aerr := doCand(out.cands[ci+j], out.news, id, depth)
 						if aerr != nil {
 							return res, aerr
 						}
@@ -614,7 +622,8 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 // touched on the merge goroutine: buffers are handed to chunks before the
 // workers start and reclaimed after the merge consumed them.
 type chunkPool[S State] struct {
-	cands    [][]candidate[S]
+	cands    [][]candidate
+	news     [][]S
 	perState [][]int
 	ample    [][]int
 }
@@ -625,6 +634,10 @@ func (p *chunkPool[S]) seed(outs []chunkOut[S]) {
 		if n := len(p.cands); n > 0 {
 			outs[i].cands = p.cands[n-1]
 			p.cands = p.cands[:n-1]
+		}
+		if n := len(p.news); n > 0 {
+			outs[i].news = p.news[n-1]
+			p.news = p.news[:n-1]
 		}
 		if n := len(p.perState); n > 0 {
 			outs[i].perState = p.perState[n-1]
@@ -638,15 +651,20 @@ func (p *chunkPool[S]) seed(outs []chunkOut[S]) {
 }
 
 // free reclaims the level's buffers after the merge replayed them. The
-// candidate slots are zeroed first: a recycled backing array must not pin
-// the previous level's duplicate successor states (new states live on in
-// the engine's states slice regardless, but in-level and spill-revived
-// duplicates would otherwise stay reachable until overwritten).
+// candidate and state slots are zeroed first: a recycled backing array
+// must not pin the previous level's visited entries (which the spilling
+// store drops when it seals a shard) or successor states (new states live
+// on in the retainer regardless, but spill-revived duplicates would
+// otherwise stay reachable until overwritten).
 func (p *chunkPool[S]) free(outs []chunkOut[S]) {
 	for i := range outs {
 		if outs[i].cands != nil {
 			clear(outs[i].cands)
 			p.cands = append(p.cands, outs[i].cands[:0])
+		}
+		if outs[i].news != nil {
+			clear(outs[i].news)
+			p.news = append(p.news, outs[i].news[:0])
 		}
 		if outs[i].perState != nil {
 			p.perState = append(p.perState, outs[i].perState[:0])
@@ -667,9 +685,11 @@ func (p *chunkPool[S]) free(outs []chunkOut[S]) {
 // expansion phase) keep only {act, entry} — the merge needs neither the
 // state nor its encoding to record the duplicate edge, and dropping them
 // keeps per-level buffering near the fingerprint set's 8-bytes-per-state
-// promise. Successors whose entry is still unassigned keep the state:
-// they are either genuinely new or, under the spilling store, duplicates
-// that ResolveLevel will settle before the merge looks.
+// promise. Of the successors whose entry is still unassigned — genuinely
+// new, or under the spilling store duplicates that ResolveLevel will settle
+// before the merge looks — only the first candidate of each entry in merge
+// order keeps its state (VisitedEntry.keepState): the merge assigns the id
+// there, and every later candidate of the entry is a duplicate edge.
 //
 // Every chunk runs under a chunk-local specGuard and a deferred recover: a
 // panic raised by Next or by the state encoding (spec code, both) is
@@ -686,7 +706,9 @@ func (p *chunkPool[S]) free(outs []chunkOut[S]) {
 // the one place discovery order exists, decides whether the ample set
 // satisfies the cycle proviso and whether the deferred remainder is
 // processed or skipped — so POR results stay deterministic across worker
-// counts just like everything else on this path.
+// counts just like everything else on this path. Because a skipped
+// deferred candidate may be the first of its entry, this path keeps the
+// state of every candidate whose entry is unassigned.
 func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S], frontier []int, vs VisitedStore, pool *chunkPool[S], ctl *runControl, porScr []porScratch[S], em *engineMetrics) []chunkOut[S] {
 	plan := planChunks(len(frontier), len(wcods))
 	outs := make([]chunkOut[S], plan.nChunks)
@@ -701,16 +723,15 @@ func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S],
 		wcod := wcods[w]
 		out := outs[c] // recycled buffers (or nil), length 0
 		out.worker = w
-		emit := func(succ S, act string, id int) {
-			g.enter(opEncode, act, id)
-			cenc := wcod.canonical(succ)
-			g.exit()
-			e := vs.Claim(cenc)
-			if e.ID >= 0 {
-				out.cands = append(out.cands, candidate[S]{act: act, entry: e})
-			} else {
-				out.cands = append(out.cands, candidate[S]{succ: succ, act: act, entry: e})
+		// keep appends a candidate, with its state when the merge will
+		// need it.
+		keep := func(succ S, act int, e *VisitedEntry, withState bool) {
+			cd := candidate{act: int32(act), succ: -1, entry: e}
+			if withState {
+				cd.succ = int32(len(out.news))
+				out.news = append(out.news, succ)
 			}
+			out.cands = append(out.cands, cd)
 		}
 		for _, id := range frontier[lo:hi] {
 			if ctl.stop.Load() {
@@ -719,12 +740,16 @@ func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S],
 			s := ret.stateOf(id)
 			before := len(out.cands)
 			if porScr == nil {
-				for _, a := range spec.Actions {
+				for ai, a := range spec.Actions {
 					g.enter(opNext, a.Name, id)
 					succs := a.Next(s)
 					g.exit()
 					for _, succ := range succs {
-						emit(succ, a.Name, id)
+						g.enter(opEncode, a.Name, id)
+						cenc := wcod.canonical(succ)
+						g.exit()
+						e := vs.Claim(cenc)
+						keep(succ, ai, e, e.ID < 0 && e.keepState(c))
 					}
 				}
 				out.perState = append(out.perState, len(out.cands)-before)
@@ -765,13 +790,7 @@ func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S],
 				sc.fresh = append(sc.fresh, e.ID < 0)
 			}
 			emitAt := func(t int) {
-				e := sc.entries[t]
-				act := spec.Actions[sc.acts[t]].Name
-				if e.ID >= 0 {
-					out.cands = append(out.cands, candidate[S]{act: act, entry: e})
-				} else {
-					out.cands = append(out.cands, candidate[S]{succ: sc.succs[t], act: act, entry: e})
-				}
+				keep(sc.succs[t], sc.acts[t], sc.entries[t], sc.fresh[t])
 			}
 			k := -1
 			if proc := sc.planner.choose(s, sc.succs, sc.acts, sc.fresh, &g); proc >= 0 {
@@ -809,6 +828,6 @@ type porScratch[S State] struct {
 	planner *porPlanner[S]
 	succs   []S
 	acts    []int
-	entries []*VisitedEntry // level-sync only: pre-choice claims
+	entries []*VisitedEntry // pre-choice claims
 	fresh   []bool          // per successor: claimed with no id yet
 }

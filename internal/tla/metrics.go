@@ -3,7 +3,6 @@ package tla
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -30,10 +29,6 @@ type engineMetrics struct {
 	fanout        *obs.Histogram
 	mergeDur      *obs.Histogram
 	checkpointDur *obs.Histogram
-
-	steals       *obs.Counter
-	stealFails   *obs.Counter
-	dequePending *obs.Gauge
 
 	runSeals    *obs.Counter
 	mergeJoins  *obs.Counter
@@ -81,13 +76,6 @@ func newEngineMetrics(opts Options, workers int) *engineMetrics {
 	reg.Help("tla_checkpoint_seconds", "checkpoint write duration")
 	m.checkpointDur = reg.Histogram("tla_checkpoint_seconds", durBuckets)
 
-	reg.Help("tla_steals_total", "successful steal-half operations (work-stealing schedule)")
-	m.steals = reg.Counter("tla_steals_total")
-	reg.Help("tla_steal_fails_total", "steal attempts that found every victim deque empty")
-	m.stealFails = reg.Counter("tla_steal_fails_total")
-	reg.Help("tla_deque_pending", "work items pending across all deques (sampled)")
-	m.dequePending = reg.Gauge("tla_deque_pending")
-
 	reg.Help("tla_spill_run_seals_total", "visited-store shards sealed into sorted on-disk runs")
 	m.runSeals = reg.Counter("tla_spill_run_seals_total")
 	reg.Help("tla_spill_merge_joins_total", "on-disk runs merge-joined against a level's fresh claims")
@@ -126,22 +114,6 @@ func (m *engineMetrics) addWorker(w int, expansions, claims int64) {
 	m.workerClaims[w].Add(claims)
 }
 
-// workerExpansion / workerClaim return a worker's counter handle (nil when
-// uninstrumented) — the work-stealing loop resolves them per worker once.
-func (m *engineMetrics) workerExpansion(w int) *obs.Counter {
-	if m == nil || m.workerExpansions == nil {
-		return nil
-	}
-	return m.workerExpansions[w]
-}
-
-func (m *engineMetrics) workerClaim(w int) *obs.Counter {
-	if m == nil || m.workerClaims == nil {
-		return nil
-	}
-	return m.workerClaims[w]
-}
-
 func (m *engineMetrics) observeLevelWidth(n int) {
 	if m == nil {
 		return
@@ -154,30 +126,6 @@ func (m *engineMetrics) observeFanout(n int) {
 		return
 	}
 	m.fanout.Observe(float64(n))
-}
-
-// onSteal / onStealFail record one steal-half success or one full sweep of
-// empty victim deques (work-stealing schedule).
-func (m *engineMetrics) onSteal() {
-	if m == nil {
-		return
-	}
-	m.steals.Inc()
-}
-
-func (m *engineMetrics) onStealFail() {
-	if m == nil {
-		return
-	}
-	m.stealFails.Inc()
-}
-
-// setDequePending samples the pending work-item count into the gauge.
-func (m *engineMetrics) setDequePending(n int64) {
-	if m == nil {
-		return
-	}
-	m.dequePending.Set(n)
 }
 
 // onRunSeal records one visited-store shard sealed into an on-disk run.
@@ -275,19 +223,18 @@ func (m *engineMetrics) onCheckpoint(level int, path string, d time.Duration, er
 }
 
 // journalStart emits the run_start event.
-func (m *engineMetrics) journalStart(spec string, schedule Schedule, workers int, por bool) {
+func (m *engineMetrics) journalStart(spec string, workers int, por bool) {
 	if m == nil {
 		return
 	}
 	m.journal.Emit("run_start", map[string]any{
 		"spec":          spec,
-		"schedule":      schedule.String(),
 		"workers":       workers,
 		"partial_order": por,
 	})
 }
 
-// journalLevel emits one level event of a level-synchronized run.
+// journalLevel emits one BFS level event.
 func (m *engineMetrics) journalLevel(p Progress) {
 	if m == nil {
 		return
@@ -298,20 +245,6 @@ func (m *engineMetrics) journalLevel(p Progress) {
 		"distinct":    p.Distinct,
 		"transitions": p.Transitions,
 		"depth":       p.Depth,
-		"spill_bytes": p.SpillBytes,
-	})
-}
-
-// journalEpoch emits one ticker epoch of a work-stealing run.
-func (m *engineMetrics) journalEpoch(p Progress) {
-	if m == nil {
-		return
-	}
-	m.journal.Emit("epoch", map[string]any{
-		"distinct":    p.Distinct,
-		"transitions": p.Transitions,
-		"depth":       p.Depth,
-		"pending":     p.Frontier,
 		"spill_bytes": p.SpillBytes,
 	})
 }
@@ -344,8 +277,8 @@ func (m *engineMetrics) journalEnd(res *resultCore, err error) {
 	m.journal.Emit("run_end", f)
 }
 
-// resultCore is the scheduler-agnostic slice of a Result the journal's
-// terminal event needs — Result itself is generic over S.
+// resultCore is the slice of a Result the journal's terminal event needs —
+// Result itself is generic over S.
 type resultCore struct {
 	distinct, transitions, depth int
 	violation                    bool
@@ -361,52 +294,6 @@ func coreOf[S State](res *Result[S]) *resultCore {
 		violation:   res.Violation != nil,
 		interrupted: res.Interrupted,
 		degraded:    res.DegradedMemory,
-	}
-}
-
-// progressSnap is the lock-free snapshot a ProgressEvery ticker reads. The
-// level-synchronized merge goroutine stores into it at level boundaries;
-// the work-stealing workers update distinct/transitions/depth live.
-type progressSnap struct {
-	distinct    atomic.Int64
-	transitions atomic.Int64
-	depth       atomic.Int64
-	level       atomic.Int64
-	frontier    atomic.Int64
-	spillBytes  atomic.Int64
-	resident    atomic.Int64
-}
-
-func (s *progressSnap) store(p Progress) {
-	s.distinct.Store(int64(p.Distinct))
-	s.transitions.Store(int64(p.Transitions))
-	s.depth.Store(int64(p.Depth))
-	s.level.Store(int64(p.Level))
-	s.frontier.Store(int64(p.Frontier))
-	s.spillBytes.Store(p.SpillBytes)
-	s.resident.Store(p.ResidentBytes)
-}
-
-func (s *progressSnap) load() Progress {
-	return Progress{
-		Distinct:      int(s.distinct.Load()),
-		Transitions:   int(s.transitions.Load()),
-		Depth:         int(s.depth.Load()),
-		Level:         int(s.level.Load()),
-		Frontier:      int(s.frontier.Load()),
-		SpillBytes:    s.spillBytes.Load(),
-		ResidentBytes: s.resident.Load(),
-	}
-}
-
-// maxDepth raises the snapshot's depth watermark (work-stealing workers
-// discover depths out of order).
-func (s *progressSnap) maxDepth(d int) {
-	for {
-		cur := s.depth.Load()
-		if int64(d) <= cur || s.depth.CompareAndSwap(cur, int64(d)) {
-			return
-		}
 	}
 }
 

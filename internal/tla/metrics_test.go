@@ -25,30 +25,26 @@ func sumWorkerCounters(reg *obs.Registry, family string, workers int) int64 {
 
 // TestMetricsMatchResult pins the metrics layer's core consistency claim:
 // summed per-worker expansion counters equal Result.Transitions and summed
-// claim counters equal Result.Distinct, across both schedulers, with and
-// without visited-set spilling, with and without partial-order reduction.
+// claim counters equal Result.Distinct, with and without visited-set
+// spilling, with and without partial-order reduction.
 // Run under -race this also proves the instrumented hot paths are clean.
 func TestMetricsMatchResult(t *testing.T) {
 	const workers = 3
 	cases := []struct {
 		name   string
-		sched  Schedule
 		budget int64
 		por    bool
 	}{
-		{"levelsync", ScheduleLevelSync, 0, false},
-		{"levelsync_spill", ScheduleLevelSync, 1 << 12, false},
-		{"levelsync_por", ScheduleLevelSync, 0, true},
-		{"levelsync_spill_por", ScheduleLevelSync, 1 << 12, true},
-		{"worksteal", ScheduleWorkSteal, 0, false},
-		{"worksteal_por", ScheduleWorkSteal, 0, true},
+		{"levelsync", 0, false},
+		{"levelsync_spill", 1 << 12, false},
+		{"levelsync_por", 0, true},
+		{"levelsync_spill_por", 1 << 12, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := obs.NewRegistry()
 			res, err := Check(gridSpec(4, 4, -1), Options{
 				Workers:           workers,
-				Schedule:          tc.sched,
 				MemoryBudgetBytes: tc.budget,
 				PartialOrder:      tc.por,
 				Metrics:           reg,
@@ -134,7 +130,7 @@ func TestJournalGolden(t *testing.T) {
 		t.Fatalf("got %d records, want %d:\n%s", len(recs), len(wantEvents), buf.String())
 	}
 	wantFields := map[string][]string{
-		"run_start": {"partial_order", "schedule", "spec", "workers"},
+		"run_start": {"partial_order", "spec", "workers"},
 		"level":     {"depth", "distinct", "level", "spill_bytes", "transitions", "width"},
 		"run_end":   {"degraded", "depth", "distinct", "transitions", "verdict"},
 	}
@@ -197,15 +193,15 @@ func TestJournalViolationVerdict(t *testing.T) {
 	}
 }
 
-// TestProgressEveryWorkSteal pins the satellite fix: a work-stealing run
-// with ProgressEvery set delivers periodic Progress snapshots — previously
-// ScheduleWorkSteal never fired Progress at all. The final stop()-driven
-// delivery guarantees at least one callback even on a fast run.
-func TestProgressEveryWorkSteal(t *testing.T) {
+// TestProgressEveryFinalSnapshot: with a short ProgressEvery the ticker
+// goroutine reads level-boundary snapshots while the merge goroutine
+// publishes them (run under -race), and the final stop()-driven delivery
+// reports the finished run's counters even on a fast run.
+func TestProgressEveryFinalSnapshot(t *testing.T) {
 	var calls atomic.Int64
 	var lastDistinct atomic.Int64
 	res, err := Check(gridSpec(4, 6, -1), Options{
-		Schedule:      ScheduleWorkSteal,
+		Workers:       2,
 		ProgressEvery: time.Millisecond,
 		Progress: func(p Progress) {
 			calls.Add(1)
@@ -215,11 +211,8 @@ func TestProgressEveryWorkSteal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Schedule != ScheduleWorkSteal {
-		t.Fatalf("schedule downgraded to %s", res.Schedule)
-	}
 	if calls.Load() == 0 {
-		t.Fatal("ProgressEvery fired no Progress callbacks under work-stealing")
+		t.Fatal("ProgressEvery fired no Progress callbacks")
 	}
 	if got := lastDistinct.Load(); got != int64(res.Distinct) {
 		t.Fatalf("final progress snapshot distinct = %d, Result.Distinct = %d", got, res.Distinct)

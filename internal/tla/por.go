@@ -4,7 +4,7 @@ import "repro/internal/obs"
 
 // Partial-order reduction (ample-set successor pruning), the classic
 // state-space lever that composes with — rather than competes against —
-// symmetry reduction and both scheduling modes.
+// symmetry reduction.
 //
 // The idea: when several enabled transitions of a state only interleave
 // independent work of distinct processes, exploring one interleaving is
@@ -37,10 +37,8 @@ import "repro/internal/obs"
 //     deferred again to a still-later witness; the chain's expansion
 //     times strictly increase, so on a finite graph it ends at a fully
 //     expanded state and no transition is ignored forever. The check is
-//     exact in the deterministic level-sync merge (witness = discovered
-//     this merge and not constraint-cut) and conservatively race-safe
-//     under work-stealing (witness = queued, expansion not started, in
-//     one engine-lock snapshot).
+//     exact in the deterministic merge (witness = discovered this merge
+//     and not constraint-cut).
 //
 // Declaration-carried (the Independence hooks' contract):
 //
@@ -93,8 +91,7 @@ type Independence[S State] struct {
 // activeIndependence resolves whether a run prunes: Options.PartialOrder
 // must ask for it and the spec must carry a complete declaration. A POR
 // request on a spec without one is a silent no-op at this layer —
-// Result.PartialOrder reports the resolution, and the CLIs warn, exactly
-// like the work-steal downgrade.
+// Result.PartialOrder reports the resolution, and the CLIs warn.
 func activeIndependence[S State](spec *Spec[S], opts Options) *Independence[S] {
 	ind := spec.Independence
 	if !opts.PartialOrder || ind == nil || ind.Procs == nil || ind.Owner == nil {
@@ -136,15 +133,15 @@ func newPORPlanner[S State](ind *Independence[S], em *engineMetrics) *porPlanner
 // ties. g guards the declaration's hooks — they are spec code, recovered
 // like Next and the encoders.
 //
-// fresh, when non-nil, marks per transition whether its successor is not
-// yet known to the visited store — the caller's prediction of the cycle
-// proviso. A process none of whose successors is fresh is certain to fail
-// the proviso (every ample successor already expanded or expanding), so it
-// is skipped; if no eligible process has a fresh successor, choose returns
-// -1 and the caller saves the doomed attempt. This is what makes the
-// reduction bite on confluent specs, where many states funnel into the
-// same successor and a freshness-blind pick keeps electing a cluster whose
-// lone successor was visited levels ago.
+// fresh marks per transition whether its successor is not yet known to the
+// visited store — the caller's prediction of the cycle proviso. A process
+// none of whose successors is fresh is certain to fail the proviso (every
+// ample successor already expanded or expanding), so it is skipped; if no
+// eligible process has a fresh successor, choose returns -1 and the caller
+// saves the doomed attempt. This is what makes the reduction bite on
+// confluent specs, where many states funnel into the same successor and a
+// freshness-blind pick keeps electing a cluster whose lone successor was
+// visited levels ago.
 func (p *porPlanner[S]) choose(s S, succs []S, acts []int, fresh []bool, g *specGuard) int {
 	total := len(succs)
 	if total < 2 {
@@ -186,14 +183,10 @@ func (p *porPlanner[S]) choose(s S, succs []S, acts []int, fresh []bool, g *spec
 		p.hasFresh = make([]bool, n)
 	}
 	p.hasFresh = p.hasFresh[:n]
-	for i := 0; i < n; i++ {
-		p.hasFresh[i] = fresh == nil // no prediction: every process may pass
-	}
-	if fresh != nil {
-		for t := 0; t < total; t++ {
-			if p.owners[t] >= 0 && fresh[t] {
-				p.hasFresh[p.owners[t]] = true
-			}
+	clear(p.hasFresh)
+	for t := 0; t < total; t++ {
+		if p.owners[t] >= 0 && fresh[t] {
+			p.hasFresh[p.owners[t]] = true
 		}
 	}
 	best := -1

@@ -155,21 +155,19 @@ func TestPORCycleProviso(t *testing.T) {
 	if !errors.Is(wantErr, ErrInvariantViolated) {
 		t.Fatalf("oracle must find the violation, got %v", wantErr)
 	}
-	for _, schedule := range []Schedule{ScheduleLevelSync, ScheduleWorkSteal} {
-		got, gotErr := Check(build(), Options{PartialOrder: true, Schedule: schedule, Workers: 2})
-		if !errors.Is(gotErr, ErrInvariantViolated) {
-			t.Fatalf("%s: POR lost the violation behind the toggle cycle: %v", schedule, gotErr)
-		}
-		if got.Violation.Invariant != want.Violation.Invariant {
-			t.Fatalf("%s: violated %s, oracle violated %s", schedule, got.Violation.Invariant, want.Violation.Invariant)
-		}
+	got, gotErr := Check(build(), Options{PartialOrder: true, Workers: 2})
+	if !errors.Is(gotErr, ErrInvariantViolated) {
+		t.Fatalf("POR lost the violation behind the toggle cycle: %v", gotErr)
+	}
+	if got.Violation.Invariant != want.Violation.Invariant {
+		t.Fatalf("violated %s, oracle violated %s", got.Violation.Invariant, want.Violation.Invariant)
 	}
 }
 
 // TestPORRandomizedCrossCheck is the randomized oracle lock at the engine
 // level: random small multi-counter specs — random counter bounds, a
 // random per-process tripwire or none — must produce oracle-identical
-// verdicts under POR across both schedules and spilled visited sets.
+// verdicts under POR across worker counts and spilled visited sets.
 func TestPORRandomizedCrossCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(0x5eed8))
 	for i := 0; i < 25; i++ {
@@ -184,7 +182,6 @@ func TestPORRandomizedCrossCheck(t *testing.T) {
 		for _, opts := range []Options{
 			{PartialOrder: true},
 			{PartialOrder: true, Workers: 4},
-			{PartialOrder: true, Workers: 4, Schedule: ScheduleWorkSteal},
 			{PartialOrder: true, Workers: 2, MemoryBudgetBytes: 1},
 		} {
 			got, gotErr := Check(gridSpec(n, max, tripwire), opts)
@@ -270,7 +267,6 @@ func TestPORValidate(t *testing.T) {
 		{PartialOrder: true, MemoryBudgetBytes: 1 << 20},
 		{PartialOrder: true, CollisionFree: true},
 		{PartialOrder: true, StateArena: true},
-		{PartialOrder: true, Schedule: ScheduleWorkSteal},
 	} {
 		if err := opts.Validate(); err != nil {
 			t.Fatalf("Validate(%+v) = %v, want nil", opts, err)

@@ -19,8 +19,6 @@ func TestOptionsValidate(t *testing.T) {
 		{MemoryBudgetBytes: 1 << 20, CollisionFree: true},
 		{MemoryBudgetBytes: 1 << 20, Visited: newMemVisited(false)},
 		{CollisionFree: true, Visited: newMemVisited(true)},
-		{Schedule: Schedule(7)},
-		{Schedule: Schedule(-1)},
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -36,8 +34,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 4, CollisionFree: true},
 		{MemoryBudgetBytes: 1},
 		{Visited: newMemVisited(true)},
-		{Schedule: ScheduleWorkSteal},
-		{Schedule: ScheduleWorkSteal, CollisionFree: true},
 		{StateArena: true},
 		{StateArena: true, MemoryBudgetBytes: 1},
 	}

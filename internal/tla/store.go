@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // This file defines the two small interfaces the exploration engine is
@@ -26,6 +27,31 @@ type VisitedEntry struct {
 	// decided during the merge, or a fingerprint spilled to disk that has
 	// not yet been matched by ResolveLevel.
 	ID int
+
+	// owner is 1 + the lowest expansion chunk index that kept a successor
+	// state for this unassigned entry (0: none yet); see keepState.
+	owner atomic.Int32
+}
+
+// keepState reports whether expansion chunk c must keep the successor state
+// of its candidate for this unassigned entry: true for the first candidate
+// of the entry in merge order (chunk order, then emission order within a
+// chunk), where the merge assigns the id. The lowest claiming chunk always
+// wins the CAS, and a chunk asks successfully only once, so every later
+// candidate — a duplicate edge at merge time — carries no state. A higher
+// chunk that asked before a lower one also keeps its state; that copy is
+// merely unused.
+func (e *VisitedEntry) keepState(c int) bool {
+	want := int32(c) + 1
+	for {
+		cur := e.owner.Load()
+		if cur != 0 && cur <= want {
+			return false
+		}
+		if e.owner.CompareAndSwap(cur, want) {
+			return true
+		}
+	}
 }
 
 // VisitedStore is the deduplication half of the exploration engine: it maps
@@ -60,10 +86,7 @@ type VisitedStore interface {
 // Pushes ids from the merge goroutine only, and drains one BFS level at a
 // time with NextLevel; an empty level ends the exploration. The default
 // implementation is a level-synchronized queue; the interface is the seam
-// for prioritized or instrumented frontiers (Options.Frontier). The
-// work-stealing scheduler (Options.Schedule, schedule.go) does not flow
-// through this interface — its per-worker deques have no level structure
-// to drain, which is the point.
+// for prioritized or instrumented frontiers (Options.Frontier).
 type FrontierStore interface {
 	Push(id int)
 	NextLevel() []int

@@ -247,23 +247,6 @@ type Options struct {
 	// identical to the sequential path: same counters, same graph, same
 	// shortest counterexample.
 	Workers int
-	// Schedule selects the exploration loop (-schedule on the CLIs).
-	// ScheduleLevelSync, the default, is the deterministic
-	// level-synchronized BFS described above. ScheduleWorkSteal drops the
-	// per-level barrier: per-worker steal-half deques and claim-on-insert
-	// deduplication keep every worker busy through wide-then-narrow state
-	// spaces, at the price of exploration order — verdicts, distinct-state
-	// counts and invariant results are identical (cross-checked against
-	// the level-sync oracle), but a counterexample is not necessarily
-	// shortest, Result.Depth is an upper bound on the BFS depth, and a
-	// recorded graph lists states and edges in nondeterministic order.
-	// Under work-stealing, Invariants and Constraint are called from
-	// worker goroutines and must not mutate shared state. Runs that need
-	// level semantics fall back to level-sync: MaxDepth > 0 (a depth bound
-	// needs true BFS depths to cut the same states), MemoryBudgetBytes > 0
-	// (the spilling visited store resolves lookups once per level), and
-	// caller-plugged Visited/Frontier stores.
-	Schedule Schedule
 	// StateArena retains discovered states as canonical encodings in an
 	// append-only arena — parent links and ~24 bytes of metadata per state
 	// plus the encoding bytes — instead of live S values, keeping live
@@ -289,7 +272,7 @@ type Options struct {
 	// conditions and exactly what is preserved). On a spec without a
 	// declaration the flag is a no-op — Result.PartialOrder reports
 	// whether pruning was actually active. Composes with SymmetryVisitor,
-	// both schedules, StateArena and MemoryBudgetBytes; rejected with
+	// any worker count, StateArena and MemoryBudgetBytes; rejected with
 	// MaxDepth (a depth bound cuts deferred interleavings differently
 	// from the unpruned run) and with plugged-in Visited/Frontier stores
 	// (the cycle proviso needs the built-in claim protocol). Liveness
@@ -336,13 +319,12 @@ type Options struct {
 	// Frontier, when non-nil, plugs in a caller-supplied FrontierStore in
 	// place of the default level-synchronized queue.
 	Frontier FrontierStore
-	// Context, when non-nil, cancels the run cooperatively: both
-	// schedulers poll it at their stop points (the level-synchronized
-	// loop between levels and between frontier states, the work-stealing
-	// loop on every worker iteration) and an interrupted run returns the
-	// partial Result (Interrupted set, states/depth/counters so far)
-	// under an error wrapping ErrInterrupted — plus a checkpoint when
-	// CheckpointDir is set. The CLIs wire SIGINT/SIGTERM here.
+	// Context, when non-nil, cancels the run cooperatively: the engine
+	// polls it between levels and between frontier states, and an
+	// interrupted run returns the partial Result (Interrupted set,
+	// states/depth/counters so far) under an error wrapping
+	// ErrInterrupted — plus a checkpoint when CheckpointDir is set. The
+	// CLIs wire SIGINT/SIGTERM here.
 	Context context.Context
 	// Deadline, when non-zero, bounds the run in wall-clock time: past
 	// it, the run winds down exactly as a canceled Context does. A
@@ -366,8 +348,7 @@ type Options struct {
 	// uninterrupted run. Requires StateArena (the parent-chain replay
 	// that reconstructs the frontier's live states) and fingerprint
 	// deduplication (rejected alongside CollisionFree and plugged-in
-	// stores); checkpointed runs are level-synchronized, so
-	// ScheduleWorkSteal falls back to ScheduleLevelSync.
+	// stores).
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -390,24 +371,20 @@ type Options struct {
 	// so far — the hook a long-lived server (cmd/checkd) streams to
 	// clients. Its delivery contract depends on ProgressEvery:
 	//
-	// With ProgressEvery zero, Progress fires at every BFS level boundary
-	// of a level-synchronized run, on the merge goroutine between levels —
-	// so it must not block for long, must not call back into the engine,
-	// and needs no internal locking of its own. The work-stealing schedule
-	// has no level structure and, on this path, reports nothing at all.
+	// With ProgressEvery zero, Progress fires at every BFS level boundary,
+	// on the merge goroutine between levels — so it must not block for
+	// long, must not call back into the engine, and needs no internal
+	// locking of its own.
 	//
 	// With ProgressEvery > 0, the level-boundary path is disabled and
-	// Progress instead fires on a wall-clock ticker under BOTH schedules —
-	// the supported way to observe a ScheduleWorkSteal run. The callback
-	// then runs on a dedicated timer goroutine concurrent with the
-	// exploration (never with itself), so it must be safe to run off the
-	// merge goroutine.
+	// Progress instead fires on a wall-clock ticker. The callback then
+	// runs on a dedicated timer goroutine concurrent with the exploration
+	// (never with itself), so it must be safe to run off the merge
+	// goroutine.
 	Progress func(Progress)
 	// ProgressEvery, when positive, switches Progress to time-based
-	// delivery: a snapshot roughly every ProgressEvery, scheduler-agnostic
-	// (see Progress for the threading contract). Under level-sync the
-	// snapshot is the last completed level boundary; under work-stealing
-	// it is a live read of the engine's atomic counters.
+	// delivery: a snapshot of the last completed level boundary roughly
+	// every ProgressEvery (see Progress for the threading contract).
 	ProgressEvery time.Duration
 	// Metrics, when non-nil, is the run's metrics registry: the engine
 	// resolves counters, gauges and histograms from it at run start (see
@@ -418,8 +395,7 @@ type Options struct {
 	// instrumentation point.
 	Metrics *obs.Registry
 	// JournalWriter, when non-nil, receives the run journal: JSONL, one
-	// structured event per BFS level (level-sync) or progress epoch
-	// (work-stealing ticker), plus checkpoint, I/O-degradation and
+	// structured event per BFS level, plus checkpoint, I/O-degradation and
 	// terminal-verdict events, each with a schema version, sequence number
 	// and monotone timestamp — enough to reconstruct the run's shape after
 	// the fact. Journal write failures never fail the run. The writer must
@@ -429,15 +405,14 @@ type Options struct {
 }
 
 // Progress is one Options.Progress snapshot: the counters of an in-flight
-// run — at a BFS level boundary (the default delivery), or at a wall-clock
-// tick when ProgressEvery is set. Under work-stealing, Level stays 0 and
-// Frontier is the number of pending deque items rather than a level width.
+// run at a BFS level boundary, delivered at that boundary (the default) or
+// at the next wall-clock tick when ProgressEvery is set.
 type Progress struct {
 	Distinct    int   // distinct states found so far
 	Transitions int   // transitions examined so far
 	Depth       int   // maximum BFS depth reached so far
 	Level       int   // fully merged BFS levels
-	Frontier    int   // states awaiting expansion (level width, or pending deque items)
+	Frontier    int   // states awaiting expansion (the level's width)
 	SpillBytes  int64 // bytes of visited runs + arena segments on disk (spill pressure)
 	// ResidentBytes estimates the memory charged against
 	// Options.MemoryBudgetBytes (resident visited fingerprints plus
@@ -476,8 +451,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: MemoryBudgetBytes selects the spilling store and Visited plugs in another; set one", ErrInvalidOptions)
 	case o.CollisionFree && o.Visited != nil:
 		return fmt.Errorf("%w: CollisionFree selects the full-encoding store and Visited plugs in another; set one", ErrInvalidOptions)
-	case o.Schedule < ScheduleLevelSync || o.Schedule > ScheduleWorkSteal:
-		return fmt.Errorf("%w: unknown Schedule %d (ScheduleLevelSync, ScheduleWorkSteal)", ErrInvalidOptions, o.Schedule)
 	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
 		return fmt.Errorf("%w: Deadline %s is in the past", ErrInvalidOptions, o.Deadline.Format(time.RFC3339))
 	case o.CheckpointEvery < 0:
@@ -556,16 +529,10 @@ type Result[S State] struct {
 	// wrote (empty when none was written); `minitlc -resume` or
 	// Options.ResumeFrom continues from it.
 	CheckpointPath string
-	// Schedule is the exploration schedule the run actually used. It can
-	// differ from Options.Schedule: ScheduleWorkSteal silently falls back
-	// to ScheduleLevelSync for runs that need level semantics (MaxDepth,
-	// MemoryBudgetBytes, plugged-in stores, checkpointing) — callers that
-	// requested work-stealing should compare and tell the user.
-	Schedule Schedule
 	// PartialOrder reports that ample-set pruning was actually active:
 	// Options.PartialOrder was set AND the spec declared Independence. A
 	// caller that requested POR on a spec without a declaration should
-	// compare and tell the user, like the work-steal downgrade.
+	// compare and tell the user.
 	PartialOrder bool
 	// AmpleStates counts expanded states at which an ample subset was
 	// kept (some successors deferred); DeferredTransitions counts the
@@ -591,13 +558,9 @@ type stateEntry struct {
 // One engine serves every configuration: Options selects the worker count
 // (0 resolves to GOMAXPROCS; 1 is the sequential oracle, which dedups on
 // full encodings and is therefore always collision-free unless
-// MemoryBudgetBytes engages the spilling fingerprint store), the
-// scheduling mode (Schedule — the default level-synchronized loop, or the
-// barrier-free work-stealing loop), and the visited/frontier stores.
-// Level-synchronized results are identical at every worker count and under
-// every store, modulo fingerprint collisions (see CollisionFree);
-// work-stealing preserves verdicts and counts but not order — see
-// Options.Schedule.
+// MemoryBudgetBytes engages the spilling fingerprint store) and the
+// visited/frontier stores. Results are identical at every worker count and
+// under every store, modulo fingerprint collisions (see CollisionFree).
 func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -606,29 +569,19 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 		return nil, errNoInit
 	}
 	workers := resolveWorkers(opts.Workers)
-	eff := opts.effectiveSchedule()
 	em := newEngineMetrics(opts, workers)
-	em.journalStart(spec.Name, eff, workers, opts.PartialOrder && spec.Independence != nil)
-	var (
-		res *Result[S]
-		err error
-	)
-	if eff == ScheduleWorkSteal {
-		res, err = runWorkSteal(spec, opts, workers, em)
-	} else {
-		vs := opts.Visited
-		if vs == nil {
-			vs = newVisitedStore(opts, workers, em)
-			defer vs.Close()
-		}
-		fr := opts.Frontier
-		if fr == nil {
-			fr = newLevelFrontier()
-		}
-		res, err = runEngine(spec, opts, workers, vs, fr, em)
+	em.journalStart(spec.Name, workers, opts.PartialOrder && spec.Independence != nil)
+	vs := opts.Visited
+	if vs == nil {
+		vs = newVisitedStore(opts, workers, em)
+		defer vs.Close()
 	}
+	fr := opts.Frontier
+	if fr == nil {
+		fr = newLevelFrontier()
+	}
+	res, err := runEngine(spec, opts, workers, vs, fr, em)
 	if res != nil {
-		res.Schedule = eff
 		em.journalEnd(coreOf(res), err)
 	}
 	return res, err
