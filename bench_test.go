@@ -334,13 +334,17 @@ func BenchmarkParallelCheckEncoding(b *testing.B) {
 		b.Fatal(err)
 	}
 	var binBytes, keyBytes int64
+	defer pre.Graph.Close()
 	encLen := func(id int) (bin, key int64) {
-		return int64(len(pre.Graph.States[id].AppendBinary(nil))), int64(len(pre.Graph.Keys[id]))
+		return int64(len(pre.Graph.StateAt(id).AppendBinary(nil))), int64(len(pre.Graph.KeyAt(id)))
 	}
-	for _, e := range pre.Graph.Edges {
+	if err := pre.Graph.ForEachEdge(func(e tla.Edge) error {
 		bin, key := encLen(e.To)
 		binBytes += bin
 		keyBytes += key
+		return nil
+	}); err != nil {
+		b.Fatal(err)
 	}
 	for _, id := range pre.Graph.Inits {
 		bin, key := encLen(id)

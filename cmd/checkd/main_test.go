@@ -171,7 +171,7 @@ func TestKillDashNineRecoversToOracleVerdict(t *testing.T) {
 	// checkpoint-shaped options (same visited-store selection) at Workers=1.
 	oracle, err := checkd.RunSpec(
 		raftmongo.SpecV2(raftmongo.Config{Nodes: 3, MaxTerm: 3, MaxLogLen: 2}),
-		tla.Options{Workers: 1, StateArena: true, CheckpointDir: t.TempDir(), CheckpointEvery: 8})
+		tla.Options{Workers: 1, CheckpointDir: t.TempDir(), CheckpointEvery: 8})
 	if err != nil {
 		t.Fatalf("oracle: %v", err)
 	}

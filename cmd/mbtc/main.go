@@ -12,18 +12,13 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/cliobs"
 	"repro/internal/fuzzer"
 	"repro/internal/mbtc"
-	"repro/internal/raftmongo"
 	"repro/internal/replset"
 	"repro/internal/scenarios"
 	"repro/internal/tla"
@@ -39,10 +34,9 @@ func main() {
 		seed         = flag.Int64("seed", 7, "fuzzer seed")
 		syncFirst    = flag.Bool("sync-before-writes", false, "fully sync all followers before writes (the paper's mitigation)")
 		flawed       = flag.Bool("flawed", false, "enable the flawed initial-sync quorum rule and recent-only initial sync")
-		workers      = flag.Int("workers", 0, "trace-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		deadline     = flag.Duration("deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); over-deadline runs stop like an interrupt, with partial results")
-		progEvery    = flag.Duration("progress-every", 0, "print a one-line trace-checking status (step, frontier) to stderr this often, e.g. 5s (0 = off)")
+		rf           cliobs.RunFlags
 	)
+	rf.Register(flag.CommandLine, "trace-checker", false)
 	flag.Parse()
 
 	if *list {
@@ -55,25 +49,16 @@ func main() {
 		}
 		return
 	}
-	// First signal stops the checker cooperatively (partial result printed);
-	// a second one kills the process through the default handler.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliobs.SignalContext()
 	defer stop()
-	if err := run(ctx, *scenarioName, *specVariant, *fuzz, *steps, *seed, *syncFirst, *flawed, *workers, *deadline, *progEvery); err != nil {
+	if err := run(ctx, *scenarioName, *specVariant, *fuzz, *steps, *seed, *syncFirst, *flawed, rf); err != nil {
 		fmt.Fprintln(os.Stderr, "mbtc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, workers int, deadline, progEvery time.Duration) error {
-	topts := tla.TraceOptions{Workers: workers, Context: ctx}
-	if deadline > 0 {
-		topts.Deadline = time.Now().Add(deadline)
-	}
-	if progEvery > 0 {
-		topts.Progress = cliobs.NewPrinter(os.Stderr, "mbtc", 0).ObserveTrace
-		topts.ProgressEvery = progEvery
-	}
+func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps int, seed int64, syncFirst, flawed bool, rf cliobs.RunFlags) error {
+	topts := rf.TraceOptions("mbtc", tla.TraceOptions{Context: ctx})
 	if err := topts.Validate(); err != nil {
 		return err
 	}
@@ -84,6 +69,9 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 	)
 	switch {
 	case fuzz:
+		if steps < 0 {
+			return fmt.Errorf("-steps %d: negative fuzzer step count", steps)
+		}
 		fcfg := fuzzer.DefaultRollbackConfig()
 		fcfg.Steps = steps
 		fcfg.Seed = seed
@@ -122,32 +110,10 @@ func run(ctx context.Context, scenarioName, specVariant string, fuzz bool, steps
 		return fmt.Errorf("need -scenario or -fuzz")
 	}
 
-	ccfg := mbtc.CheckConfig(cfg.Nodes)
-	var spec *tla.Spec[raftmongo.State]
-	switch specVariant {
-	case "v1":
-		spec = raftmongo.SpecV1(ccfg)
-	case "v2":
-		spec = raftmongo.SpecV2(ccfg)
-	default:
-		return fmt.Errorf("unknown spec variant %q", specVariant)
-	}
-
-	rep, _, err := mbtc.PipelineOpts(cfg, workload, spec, topts)
+	spec, err := cliobs.TraceSpec(specVariant, cfg.Nodes)
 	if err != nil {
-		if rep != nil && rep.Interrupted && errors.Is(err, tla.ErrInterrupted) {
-			fmt.Printf("%s against RaftMongo %s: interrupted after matching %d of %d trace events (no divergence so far)\n",
-				label, specVariant, rep.Checked, rep.Events)
-			return nil
-		}
 		return err
 	}
-	fmt.Printf("%s against RaftMongo %s: %d trace events, %d oplog prefix fills, max frontier %d\n",
-		label, specVariant, rep.Events, rep.PrefixFills, rep.MaxFrontier)
-	if rep.OK {
-		fmt.Println("MBTC PASS: the trace is a behaviour of the specification")
-		return nil
-	}
-	fmt.Printf("MBTC FAIL: trace diverges at step %d of %d (%s)\n", rep.FailedStep, rep.Events, rep.FailedEvent)
-	return nil
+	rep, _, err := mbtc.PipelineOpts(cfg, workload, spec, topts)
+	return cliobs.PrintTraceReport(os.Stdout, label, specVariant, rep, err)
 }

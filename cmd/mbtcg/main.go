@@ -8,7 +8,7 @@
 // Usage:
 //
 //	mbtcg [-dot array_ot.dot] [-emit generated_test.go] [-coverage] [-workers N] [-mem-budget BYTES] \
-//	      [-arena] [-deadline DUR] [-progress-every DUR] [-journal FILE]
+//	      [-deadline DUR] [-progress-every DUR] [-journal FILE]
 package main
 
 import (
@@ -16,9 +16,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
-	"syscall"
-	"time"
 
 	"repro/internal/arrayot"
 	"repro/internal/cliobs"
@@ -32,45 +29,30 @@ import (
 
 func main() {
 	var (
-		dotPath   = flag.String("dot", "array_ot.dot", "state-graph DOT output path")
-		emitPath  = flag.String("emit", "", "write the generated cases as a Go test file")
-		withCov   = flag.Bool("coverage", false, "print the §5.2 coverage comparison table")
-		workers   = flag.Int("workers", 0, "model-checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
-		arena     = flag.Bool("arena", false, "serve the state graph from the checker's encoded-state arena instead of live values (with -mem-budget it spills to disk, so generation runs on graphs that never fit in RAM)")
-		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the exploration, e.g. 90s or 10m (0 = none); generation needs the complete graph, so an over-deadline run aborts with the partial-state count")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line exploration status to stderr this often, e.g. 5s (0 = off)")
-		journal   = flag.String("journal", "", "append the exploration's run journal (JSONL) to this file")
+		dotPath  = flag.String("dot", "array_ot.dot", "state-graph DOT output path")
+		emitPath = flag.String("emit", "", "write the generated cases as a Go test file")
+		withCov  = flag.Bool("coverage", false, "print the §5.2 coverage comparison table")
+		rf       cliobs.RunFlags
 	)
+	rf.Register(flag.CommandLine, "model-checker", true)
 	flag.Parse()
 	// First signal stops the model checker cooperatively; generation needs
-	// the complete state graph, so an interrupted exploration aborts the
-	// pipeline with the partial-state count. A second signal kills normally.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	// the complete state graph, so an interrupted (or over-deadline)
+	// exploration aborts the pipeline with the partial-state count.
+	ctx, stop := cliobs.SignalContext()
 	defer stop()
-	if err := run(ctx, *dotPath, *emitPath, *withCov, *workers, *memBudget, *arena, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, *dotPath, *emitPath, *withCov, rf); err != nil {
 		fmt.Fprintln(os.Stderr, "mbtcg:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, dotPath, emitPath string, withCov bool, workers int, memBudget int64, arena bool, deadline time.Duration, progEvery time.Duration, journal string) error {
-	opts := tla.Options{Workers: workers, MemoryBudgetBytes: memBudget, StateArena: arena, Context: ctx}
-	if deadline > 0 {
-		opts.Deadline = time.Now().Add(deadline)
+func run(ctx context.Context, dotPath, emitPath string, withCov bool, rf cliobs.RunFlags) error {
+	opts, closeJournal, err := rf.EngineOptions("mbtcg", tla.Options{Context: ctx})
+	if err != nil {
+		return err
 	}
-	if progEvery > 0 {
-		opts.Progress = cliobs.NewPrinter(os.Stderr, "mbtcg", memBudget).Observe
-		opts.ProgressEvery = progEvery
-	}
-	if journal != "" {
-		jf, err := os.OpenFile(journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("opening journal: %w", err)
-		}
-		defer jf.Close()
-		opts.JournalWriter = jf
-	}
+	defer closeJournal()
 	if err := opts.Validate(); err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@
 //
 //	minitlc -spec raftmongo-v1|raftmongo-v2|arrayot|locking \
 //	        [-nodes 3] [-max-term 3] [-max-log 3] [-actors 2] \
-//	        [-dot out.dot] [-liveness] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] [-arena] \
+//	        [-dot out.dot] [-liveness] [-workers N] [-symmetry] [-por] [-mem-budget BYTES] \
 //	        [-checkpoint DIR] [-checkpoint-every N] [-resume DIR] [-deadline DUR] \
 //	        [-progress-every DUR] [-journal FILE]
 package main
@@ -25,9 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"os/signal"
 	"strconv"
-	"syscall"
 	"time"
 
 	"repro/internal/arrayot"
@@ -85,49 +83,65 @@ func configFromMeta(meta map[string]string) (specConfig, error) {
 	return c, err
 }
 
+// validate rejects spec bounds that would make the run meaningless: a
+// replica set or lock manager needs at least one member, and the term and
+// oplog bounds cannot be negative.
+func (c specConfig) validate() error {
+	switch {
+	case c.nodes < 1:
+		return fmt.Errorf("-nodes %d: a replica set needs at least one node", c.nodes)
+	case c.actors < 1:
+		return fmt.Errorf("-actors %d: the lock manager needs at least one actor", c.actors)
+	case c.maxTerm < 0:
+		return fmt.Errorf("-max-term %d: negative term bound", c.maxTerm)
+	case c.maxLog < 0:
+		return fmt.Errorf("-max-log %d: negative oplog length bound", c.maxLog)
+	}
+	return nil
+}
+
+// ckConfig is the checkpoint/resume flags.
+type ckConfig struct {
+	dir    string
+	every  int
+	resume string
+}
+
 func main() {
 	var (
-		specName  = flag.String("spec", "raftmongo-v1", "specification: raftmongo-v1, raftmongo-v2, arrayot, locking")
-		nodes     = flag.Int("nodes", 3, "replica-set size (raftmongo)")
-		maxTerm   = flag.Int("max-term", 3, "term bound (raftmongo)")
-		maxLog    = flag.Int("max-log", 3, "oplog length bound (raftmongo)")
-		actors    = flag.Int("actors", 2, "actor count (locking)")
-		dotPath   = flag.String("dot", "", "write the state graph as DOT to this file")
-		liveness  = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
-		workers   = flag.Int("workers", 0, "checker worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
-		symmetry  = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors)")
-		por       = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking); composes with -symmetry, -workers, -arena and -mem-budget")
-		memBudget = flag.Int64("mem-budget", 0, "approximate visited-set bytes before fingerprint shards spill to sorted runs on disk (0 = fully resident)")
-		arena     = flag.Bool("arena", false, "retain discovered states as encoded bytes in an append-only arena instead of live values (cuts retention memory; counterexamples and the -dot/-liveness graph are decoded from the arena)")
-		ckDir     = flag.String("checkpoint", "", "write a resumable checkpoint to this directory on interrupt (and periodically with -checkpoint-every); implies -arena")
-		ckEvery   = flag.Int("checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
-		resume    = flag.String("resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); implies -arena and, unless -checkpoint says otherwise, further checkpoints go to the same directory")
-		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); a run over the deadline stops like an interrupt — partial statistics, and a resumable checkpoint under -checkpoint")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off)")
-		journal   = flag.String("journal", "", "append the run journal (JSONL, one event per BFS level plus checkpoint/retry/degrade/verdict) to this file")
+		specName = flag.String("spec", "raftmongo-v1", "specification: raftmongo-v1, raftmongo-v2, arrayot, locking")
+		nodes    = flag.Int("nodes", 3, "replica-set size (raftmongo)")
+		maxTerm  = flag.Int("max-term", 3, "term bound (raftmongo)")
+		maxLog   = flag.Int("max-log", 3, "oplog length bound (raftmongo)")
+		actors   = flag.Int("actors", 2, "actor count (locking)")
+		dotPath  = flag.String("dot", "", "write the state graph as DOT to this file")
+		liveness = flag.Bool("liveness", false, "check the commit-point-propagation liveness property (raftmongo)")
+		symmetry = flag.Bool("symmetry", false, "symmetry reduction over interchangeable identities (raftmongo nodes, locking actors)")
+		por      = flag.Bool("por", false, "ample-set partial-order reduction for specs that declare transition independence (raftmongo, locking); composes with -symmetry, -workers and -mem-budget")
+		ck       ckConfig
+		rf       cliobs.RunFlags
 	)
+	flag.StringVar(&ck.dir, "checkpoint", "", "write a resumable checkpoint to this directory on interrupt, -deadline included (and periodically with -checkpoint-every)")
+	flag.IntVar(&ck.every, "checkpoint-every", 0, "additionally checkpoint every N BFS levels (0 = only on interrupt; needs -checkpoint)")
+	flag.StringVar(&ck.resume, "resume", "", "resume the run checkpointed in this directory (spec flags are restored from the checkpoint); unless -checkpoint says otherwise, further checkpoints go to the same directory")
+	rf.Register(flag.CommandLine, "checker", true)
 	flag.Parse()
 
-	// ^C / SIGTERM stop the checker cooperatively: the run winds down at
-	// the next stop point, prints its partial statistics, and — when
-	// checkpointing — seals a resumable checkpoint. A second signal kills
-	// the process the usual way (stop() restores default handling).
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliobs.SignalContext()
 	defer stop()
-
 	cfg := specConfig{specName: *specName, nodes: *nodes, maxTerm: *maxTerm, maxLog: *maxLog, actors: *actors, symmetry: *symmetry, por: *por}
-	if err := run(ctx, cfg, *dotPath, *liveness, *workers, *memBudget, *arena, *ckDir, *ckEvery, *resume, *deadline, *progEvery, *journal); err != nil {
+	if err := run(ctx, cfg, rf, *dotPath, *liveness, ck); err != nil {
 		fmt.Fprintln(os.Stderr, "minitlc:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, workers int, memBudget int64, arena bool, ckDir string, ckEvery int, resume string, deadline time.Duration, progEvery time.Duration, journal string) error {
-	if resume != "" {
+func run(ctx context.Context, cfg specConfig, rf cliobs.RunFlags, dotPath string, liveness bool, ck ckConfig) error {
+	if ck.resume != "" {
 		// The checkpoint knows which state space it explored; the resumed
 		// run must rebuild the identical spec, so its metadata overrides
 		// the spec flags.
-		info, err := tla.ReadCheckpointInfo(resume)
+		info, err := tla.ReadCheckpointInfo(ck.resume)
 		if err != nil {
 			return err
 		}
@@ -135,15 +149,14 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		if err != nil {
 			return err
 		}
-		if ckDir == "" {
-			ckDir = resume // keep checkpointing where the run left off
+		if ck.dir == "" {
+			ck.dir = ck.resume // keep checkpointing where the run left off
 		}
 		fmt.Printf("resuming %s from %s: %d distinct states, %d transitions, depth %d, %d levels\n",
-			info.Spec, resume, info.Distinct, info.Transitions, info.Depth, info.Levels)
+			info.Spec, ck.resume, info.Distinct, info.Transitions, info.Depth, info.Levels)
 	}
-	if (ckDir != "" || resume != "") && !arena {
-		arena = true
-		fmt.Fprintln(os.Stderr, "minitlc: note: checkpoint/resume stores states in the encoding arena; -arena enabled")
+	if err := cfg.validate(); err != nil {
+		return err
 	}
 	if cfg.por && liveness {
 		// CheckEventuallyWithin walks the recorded graph; POR records only
@@ -152,35 +165,19 @@ func run(ctx context.Context, cfg specConfig, dotPath string, liveness bool, wor
 		cfg.por = false
 		fmt.Fprintln(os.Stderr, "minitlc: note: -liveness needs the full state graph; -por disabled for this run")
 	}
-	opts := tla.Options{
-		RecordGraph:       dotPath != "" || liveness,
-		Workers:           workers,
-		MemoryBudgetBytes: memBudget,
-		PartialOrder:      cfg.por,
-		StateArena:        arena,
-		Context:           ctx,
-		CheckpointDir:     ckDir,
-		CheckpointEvery:   ckEvery,
-		ResumeFrom:        resume,
-		CheckpointMeta:    cfg.meta(),
+	opts, closeJournal, err := rf.EngineOptions("minitlc", tla.Options{
+		RecordGraph:     dotPath != "" || liveness,
+		PartialOrder:    cfg.por,
+		Context:         ctx,
+		CheckpointDir:   ck.dir,
+		CheckpointEvery: ck.every,
+		ResumeFrom:      ck.resume,
+		CheckpointMeta:  cfg.meta(),
+	})
+	if err != nil {
+		return err
 	}
-	if deadline > 0 {
-		opts.Deadline = time.Now().Add(deadline)
-	}
-	if progEvery > 0 {
-		// Status goes to stderr only: stdout (verdict, DOT announcements)
-		// stays pipeable.
-		opts.Progress = cliobs.NewPrinter(os.Stderr, "minitlc", memBudget).Observe
-		opts.ProgressEvery = progEvery
-	}
-	if journal != "" {
-		jf, err := os.OpenFile(journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("opening journal: %w", err)
-		}
-		defer jf.Close()
-		opts.JournalWriter = jf
-	}
+	defer closeJournal()
 	if err := opts.Validate(); err != nil {
 		return err
 	}
@@ -289,8 +286,8 @@ func check[S tla.State](spec *tla.Spec[S], opts tla.Options) (*tla.Result[S], er
 	return res, nil
 }
 
-// dump writes the state graph as DOT and closes it, releasing any arena
-// spill file backing an -arena graph.
+// dump writes the state graph as DOT and closes it, releasing the arena
+// spill file backing the graph.
 func dump[S tla.State](g *tla.Graph[S], path, name string) error {
 	if g == nil {
 		return nil

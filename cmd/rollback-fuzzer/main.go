@@ -16,20 +16,15 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
 	"path/filepath"
-	"syscall"
-	"time"
 
 	"repro/internal/cliobs"
 	"repro/internal/fuzzer"
 	"repro/internal/mbtc"
-	"repro/internal/raftmongo"
 	"repro/internal/replset"
 	"repro/internal/tla"
 	"repro/internal/trace"
@@ -45,30 +40,28 @@ func main() {
 		syncFirst = flag.Bool("sync-before-writes", false, "fully sync all followers before writes begin")
 		check     = flag.Bool("check", false, "trace-check the captured run against the RaftMongo specification")
 		specVar   = flag.String("spec", "v2", "specification variant for -check: v1 (global term) or v2 (gossiped terms)")
-		workers   = flag.Int("workers", 0, "trace-checker worker goroutines for -check (0 = GOMAXPROCS, 1 = sequential)")
-		deadline  = flag.Duration("deadline", 0, "wall-clock bound on the trace check, e.g. 90s or 10m (0 = none); over-deadline checks stop like an interrupt, with partial results")
-		progEvery = flag.Duration("progress-every", 0, "print a one-line trace-checking status (step, frontier) to stderr this often, e.g. 5s (0 = off); applies to -check")
+		rf        cliobs.RunFlags
 	)
+	rf.Register(flag.CommandLine, "trace-checker (-check)", false)
 	flag.Parse()
 	// First signal stops the trace checker cooperatively (the fuzzer run
 	// itself is short); a second one kills the process normally.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	ctx, stop := cliobs.SignalContext()
 	defer stop()
-	if err := run(ctx, *steps, *seed, *nodes, *outDir, *flawed, *syncFirst, *check, *specVar, *workers, *deadline, *progEvery); err != nil {
+	if err := run(ctx, *steps, *seed, *nodes, *outDir, *flawed, *syncFirst, *check, *specVar, rf); err != nil {
 		fmt.Fprintln(os.Stderr, "rollback-fuzzer:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, workers int, deadline, progEvery time.Duration) error {
-	topts := tla.TraceOptions{Workers: workers, Context: ctx}
-	if deadline > 0 {
-		topts.Deadline = time.Now().Add(deadline)
+func run(ctx context.Context, steps int, seed int64, nodes int, outDir string, flawed, syncFirst, check bool, specVar string, rf cliobs.RunFlags) error {
+	switch {
+	case steps < 0:
+		return fmt.Errorf("-steps %d: negative fuzzer step count", steps)
+	case nodes < 1:
+		return fmt.Errorf("-nodes %d: a replica set needs at least one node", nodes)
 	}
-	if progEvery > 0 {
-		topts.Progress = cliobs.NewPrinter(os.Stderr, "rollback-fuzzer", 0).ObserveTrace
-		topts.ProgressEvery = progEvery
-	}
+	topts := rf.TraceOptions("rollback-fuzzer", tla.TraceOptions{Context: ctx})
 	if err := topts.Validate(); err != nil {
 		return err
 	}
@@ -155,31 +148,10 @@ func checkTrace(nodes int, bufs []*bytes.Buffer, specVar string, topts tla.Trace
 	if err != nil {
 		return err
 	}
-	ccfg := mbtc.CheckConfig(nodes)
-	var spec *tla.Spec[raftmongo.State]
-	switch specVar {
-	case "v1":
-		spec = raftmongo.SpecV1(ccfg)
-	case "v2":
-		spec = raftmongo.SpecV2(ccfg)
-	default:
-		return fmt.Errorf("unknown spec variant %q", specVar)
-	}
-	crep, err := mbtc.CheckEventsOpts(nodes, merged, spec, topts)
+	spec, err := cliobs.TraceSpec(specVar, nodes)
 	if err != nil {
-		if crep != nil && crep.Interrupted && errors.Is(err, tla.ErrInterrupted) {
-			fmt.Printf("trace check against RaftMongo %s: interrupted after matching %d of %d events (no divergence so far)\n",
-				specVar, crep.Checked, crep.Events)
-			return nil
-		}
 		return err
 	}
-	fmt.Printf("trace check against RaftMongo %s: %d events, %d oplog prefix fills, max frontier %d\n",
-		specVar, crep.Events, crep.PrefixFills, crep.MaxFrontier)
-	if crep.OK {
-		fmt.Println("MBTC PASS: the trace is a behaviour of the specification")
-		return nil
-	}
-	fmt.Printf("MBTC FAIL: trace diverges at step %d of %d (%s)\n", crep.FailedStep, crep.Events, crep.FailedEvent)
-	return nil
+	crep, err := mbtc.CheckEventsOpts(nodes, merged, spec, topts)
+	return cliobs.PrintTraceReport(os.Stdout, "trace check", specVar, crep, err)
 }

@@ -147,7 +147,7 @@ func (s State) AppendBinary(buf []byte) []byte {
 // DecodeBinary implements tla.BinaryDecoder: the inverse of AppendBinary,
 // letting the checker's retained-state arena reconstruct states directly
 // from their stored encodings (counterexamples, checkpoint resume, and the
-// arena-backed state graph MBTCG consumes). The receiver is a sample state
+// recorded state graph MBTCG consumes). The receiver is a sample state
 // of the run: the encoding deliberately omits the transformer — run
 // configuration, not state — so the decoder recovers it from the sample's
 // deployment, falling back to the reference transformer on a zero-value

@@ -93,7 +93,7 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 				binEq, keyEq, a.Key(), b.Key())
 		}
 		// Arena round-trip on the same corpus: a one-state spec checked
-		// under StateArena with a one-byte budget spills the encoding to
+		// with a one-byte budget spills the encoding to
 		// disk and reconstructs the counterexample by replay — the
 		// replayed state must be semantically identical to the original.
 		spec := &tla.Spec[State]{
@@ -104,7 +104,7 @@ func FuzzBinaryKeyAgreement(f *testing.F) {
 				Check: func(State) error { return errors.New("retrieve the trace") },
 			}},
 		}
-		res, err := tla.Check(spec, tla.Options{Workers: 1, StateArena: true, MemoryBudgetBytes: 1})
+		res, err := tla.Check(spec, tla.Options{Workers: 1, MemoryBudgetBytes: 1})
 		if !errors.Is(err, tla.ErrInvariantViolated) {
 			t.Fatalf("arena round-trip check err = %v, want the forced violation", err)
 		}

@@ -379,7 +379,6 @@ func (s *Supervisor) validateRequest(req JobRequest) (JobRequest, error) {
 	probe := req.shapingOptions()
 	probe.Workers = req.Options.Workers
 	probe.MemoryBudgetBytes = req.Options.MemBudgetBytes
-	probe.StateArena = true
 	probe.CheckpointDir = "pending"
 	probe.CheckpointEvery = s.cfg.CheckpointEvery
 	if err := probe.Validate(); err != nil {
@@ -594,7 +593,6 @@ func (s *Supervisor) buildOptions(j *job, ctx context.Context, deadline time.Tim
 	opts := j.req.shapingOptions()
 	opts.Workers = j.req.Options.Workers
 	opts.MemoryBudgetBytes = budget
-	opts.StateArena = true
 	opts.CheckpointDir = s.ckDir(j.id)
 	opts.CheckpointEvery = s.cfg.CheckpointEvery
 	opts.FS = s.cfg.FS

@@ -121,7 +121,6 @@ func oracleOutcome(t *testing.T, spec string, p SpecParams) *Outcome {
 		t.Fatal(err)
 	}
 	out, err := run(norm)(tla.Options{
-		StateArena:      true,
 		CheckpointDir:   t.TempDir(),
 		CheckpointEvery: 4,
 	})

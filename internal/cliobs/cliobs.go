@@ -1,19 +1,133 @@
-// Package cliobs is the command-line tools' shared progress glue: it
-// renders the engine's time-based Progress snapshots (and the trace
-// checker's TraceProgress) as one-line status reports on stderr. Status
-// goes to stderr only, newline-terminated, so the CLIs' primary stdout
-// output (verdicts, DOT graphs, JSON) is never corrupted and remains
-// pipeable.
+// Package cliobs is the command-line tools' shared glue: the run-control
+// flags every checking CLI takes (RunFlags), the signal context that makes
+// runs interruptible, the one-line progress reports on stderr (Printer),
+// and the trace CLIs' spec-variant switch and verdict report. Status goes
+// to stderr only, newline-terminated, so the CLIs' primary stdout output
+// (verdicts, DOT graphs, JSON) is never corrupted and remains pipeable.
 package cliobs
 
 import (
+	"context"
+	"errors"
+	"flag"
 	"fmt"
 	"io"
+	"os"
+	"os/signal"
 	"sync"
+	"syscall"
 	"time"
 
+	"repro/internal/mbtc"
+	"repro/internal/raftmongo"
 	"repro/internal/tla"
 )
+
+// SignalContext returns a context canceled by the first SIGINT or SIGTERM,
+// so a run winds down cooperatively at its next stop point (partial
+// statistics, and a checkpoint when one is configured). stop restores the
+// default handling: a second signal kills the process the usual way.
+func SignalContext() (ctx context.Context, stop context.CancelFunc) {
+	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+}
+
+// RunFlags are the run-control flags the checking CLIs share: -workers,
+// -deadline and -progress-every everywhere, plus -mem-budget and -journal
+// on the model-checking CLIs.
+type RunFlags struct {
+	Workers       int
+	Deadline      time.Duration
+	ProgressEvery time.Duration
+	MemBudget     int64
+	Journal       string
+}
+
+// Register registers the shared flags on fs. checker names what -workers
+// parallelizes ("checker", "trace-checker"); engine adds -mem-budget and
+// -journal, which only model-checking runs have.
+func (f *RunFlags) Register(fs *flag.FlagSet, checker string, engine bool) {
+	fs.IntVar(&f.Workers, "workers", 0, checker+" worker goroutines (0 = GOMAXPROCS, 1 = sequential)")
+	fs.DurationVar(&f.Deadline, "deadline", 0, "wall-clock bound on the run, e.g. 90s or 10m (0 = none); an over-deadline run stops like an interrupt")
+	fs.DurationVar(&f.ProgressEvery, "progress-every", 0, "print a one-line status to stderr this often, e.g. 5s (0 = off)")
+	if engine {
+		fs.Int64Var(&f.MemBudget, "mem-budget", 0, "approximate resident bytes of the visited set, and of the retained-state arena, before each spills to disk (0 = fully resident)")
+		fs.StringVar(&f.Journal, "journal", "", "append the run journal (JSONL, one event per BFS level plus checkpoint/retry/degrade/verdict) to this file")
+	}
+}
+
+// EngineOptions applies the flags to a model-checking run of tool: worker
+// count, memory budget, deadline, the stderr progress printer, and the
+// -journal file, opened for appending and released by the returned close.
+func (f *RunFlags) EngineOptions(tool string, opts tla.Options) (tla.Options, func() error, error) {
+	opts.Workers = f.Workers
+	opts.MemoryBudgetBytes = f.MemBudget
+	if f.Deadline > 0 {
+		opts.Deadline = time.Now().Add(f.Deadline)
+	}
+	if f.ProgressEvery > 0 {
+		opts.Progress = NewPrinter(os.Stderr, tool, f.MemBudget).Observe
+		opts.ProgressEvery = f.ProgressEvery
+	}
+	if f.Journal == "" {
+		return opts, func() error { return nil }, nil
+	}
+	jf, err := os.OpenFile(f.Journal, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return opts, nil, fmt.Errorf("opening journal: %w", err)
+	}
+	opts.JournalWriter = jf
+	return opts, jf.Close, nil
+}
+
+// TraceOptions applies the flags to a trace-checking run of tool.
+func (f *RunFlags) TraceOptions(tool string, topts tla.TraceOptions) tla.TraceOptions {
+	topts.Workers = f.Workers
+	if f.Deadline > 0 {
+		topts.Deadline = time.Now().Add(f.Deadline)
+	}
+	if f.ProgressEvery > 0 {
+		topts.Progress = NewPrinter(os.Stderr, tool, 0).ObserveTrace
+		topts.ProgressEvery = f.ProgressEvery
+	}
+	return topts
+}
+
+// TraceSpec returns the RaftMongo variant a captured trace of an n-node
+// replica set is checked against: "v1" (global term) or "v2" (gossiped
+// terms).
+func TraceSpec(variant string, nodes int) (*tla.Spec[raftmongo.State], error) {
+	cfg := mbtc.CheckConfig(nodes)
+	switch variant {
+	case "v1":
+		return raftmongo.SpecV1(cfg), nil
+	case "v2":
+		return raftmongo.SpecV2(cfg), nil
+	}
+	return nil, fmt.Errorf("unknown spec variant %q", variant)
+}
+
+// PrintTraceReport prints the outcome of checking label's trace against
+// RaftMongo variant: the partial result of an interrupted check, or the
+// summary line and the MBTC PASS/FAIL verdict. An interrupted check is a
+// successful partial run; any other error is returned.
+func PrintTraceReport(w io.Writer, label, variant string, rep *mbtc.Report, err error) error {
+	if err != nil {
+		if rep != nil && rep.Interrupted && errors.Is(err, tla.ErrInterrupted) {
+			fmt.Fprintf(w, "%s against RaftMongo %s: interrupted after matching %d of %d trace events (no divergence so far)\n",
+				label, variant, rep.Checked, rep.Events)
+			return nil
+		}
+		return err
+	}
+	fmt.Fprintf(w, "%s against RaftMongo %s: %d trace events, %d oplog prefix fills, max frontier %d\n",
+		label, variant, rep.Events, rep.PrefixFills, rep.MaxFrontier)
+	if rep.OK {
+		fmt.Fprintln(w, "MBTC PASS: the trace is a behaviour of the specification")
+		return nil
+	}
+	fmt.Fprintf(w, "MBTC FAIL: trace diverges at step %d of %d (%s)\n", rep.FailedStep, rep.Events, rep.FailedEvent)
+	return nil
+}
 
 // Printer renders progress snapshots for one tool. The zero value is not
 // usable; construct with NewPrinter. Observe is safe to use as

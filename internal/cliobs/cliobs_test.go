@@ -1,10 +1,14 @@
 package cliobs
 
 import (
+	"errors"
+	"flag"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/mbtc"
 	"repro/internal/tla"
 )
 
@@ -87,5 +91,72 @@ func TestBytes(t *testing.T) {
 		if got := Bytes(n); got != want {
 			t.Fatalf("Bytes(%d) = %q, want %q", n, got, want)
 		}
+	}
+}
+
+// TestRunFlags pins the shared flag layer: the model-checking set adds
+// -mem-budget and -journal to the three flags every checking CLI takes,
+// and the parsed values land in the engine and trace options.
+func TestRunFlags(t *testing.T) {
+	var trace RunFlags
+	tfs := flag.NewFlagSet("mbtc", flag.ContinueOnError)
+	trace.Register(tfs, "trace-checker", false)
+	if tfs.Lookup("mem-budget") != nil || tfs.Lookup("journal") != nil {
+		t.Fatal("trace CLIs registered model-checking flags")
+	}
+	if err := tfs.Parse([]string{"-workers", "3", "-deadline", "1h", "-progress-every", "1s"}); err != nil {
+		t.Fatal(err)
+	}
+	topts := trace.TraceOptions("mbtc", tla.TraceOptions{})
+	if topts.Workers != 3 || topts.Deadline.IsZero() || topts.ProgressEvery != time.Second || topts.Progress == nil {
+		t.Fatalf("trace options = %+v", topts)
+	}
+
+	var engine RunFlags
+	efs := flag.NewFlagSet("minitlc", flag.ContinueOnError)
+	engine.Register(efs, "checker", true)
+	journal := filepath.Join(t.TempDir(), "run.jsonl")
+	if err := efs.Parse([]string{"-workers", "2", "-mem-budget", "4096", "-journal", journal}); err != nil {
+		t.Fatal(err)
+	}
+	opts, closeJournal, err := engine.EngineOptions("minitlc", tla.Options{RecordGraph: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Workers != 2 || opts.MemoryBudgetBytes != 4096 || opts.JournalWriter == nil || !opts.RecordGraph ||
+		!opts.Deadline.IsZero() || opts.Progress != nil {
+		t.Fatalf("engine options = %+v", opts)
+	}
+	if err := closeJournal(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrintTraceReport pins the trace CLIs' verdict lines.
+func TestPrintTraceReport(t *testing.T) {
+	var sb strings.Builder
+	if err := PrintTraceReport(&sb, "scenario", "v2", &mbtc.Report{Events: 4, MaxFrontier: 2, OK: true}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := PrintTraceReport(&sb, "scenario", "v1", &mbtc.Report{Events: 4, FailedStep: 3, FailedEvent: "e3"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := PrintTraceReport(&sb, "scenario", "v2", &mbtc.Report{Events: 4, Checked: 2, Interrupted: true}, tla.ErrInterrupted); err != nil {
+		t.Fatalf("interrupted check = %v, want a clean partial run", err)
+	}
+	want := "scenario against RaftMongo v2: 4 trace events, 0 oplog prefix fills, max frontier 2\n" +
+		"MBTC PASS: the trace is a behaviour of the specification\n" +
+		"scenario against RaftMongo v1: 4 trace events, 0 oplog prefix fills, max frontier 0\n" +
+		"MBTC FAIL: trace diverges at step 3 of 4 (e3)\n" +
+		"scenario against RaftMongo v2: interrupted after matching 2 of 4 trace events (no divergence so far)\n"
+	if sb.String() != want {
+		t.Fatalf("output:\n%s\nwant:\n%s", sb.String(), want)
+	}
+	boom := errors.New("boom")
+	if err := PrintTraceReport(&sb, "scenario", "v2", nil, boom); err != boom {
+		t.Fatalf("failed check = %v, want the error passed through", err)
+	}
+	if _, err := TraceSpec("v3", 3); err == nil {
+		t.Fatal("TraceSpec accepted an unknown variant")
 	}
 }

@@ -77,8 +77,8 @@ func TestCompatibilityViolationArenaPaths(t *testing.T) {
 		name string
 		opts tla.Options
 	}{
-		{"decode", tla.Options{StateArena: true, MemoryBudgetBytes: 1}},
-		{"replay", tla.Options{StateArena: true, MemoryBudgetBytes: 1, ForceKeyEncoding: true}},
+		{"decode", tla.Options{MemoryBudgetBytes: 1}},
+		{"replay", tla.Options{MemoryBudgetBytes: 1, ForceKeyEncoding: true}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			res, err := tla.Check(Spec(SpecConfig{Actors: 2, OmitCompatibilityCheck: true}), mode.opts)

@@ -41,12 +41,12 @@ func TestDegradedSpillMatchesInMemory(t *testing.T) {
 	}
 	for _, omit := range []bool{false, true} {
 		cfg := SpecConfig{Actors: 2, OmitCompatibilityCheck: omit}
-		want, wantErr := tla.Check(Spec(cfg), tla.Options{Workers: 2, MemoryBudgetBytes: 1, StateArena: true})
+		want, wantErr := tla.Check(Spec(cfg), tla.Options{Workers: 2, MemoryBudgetBytes: 1})
 		for name, tc := range faults {
 			desc := fmt.Sprintf("omit=%v/%s", omit, name)
 			ffs := tla.NewFaultFS(nil)
 			ffs.Inject(tc.fault)
-			got, gotErr := tla.Check(Spec(cfg), tla.Options{Workers: 2, MemoryBudgetBytes: 1, StateArena: true, FS: ffs})
+			got, gotErr := tla.Check(Spec(cfg), tla.Options{Workers: 2, MemoryBudgetBytes: 1, FS: ffs})
 			if len(ffs.Fired()) == 0 {
 				t.Fatalf("%s: fault never fired", desc)
 			}

@@ -59,7 +59,7 @@ func GenerateWith(cfg arrayot.Config, dotPath string, workers int) ([]TestCase, 
 }
 
 // GenerateOpts is Generate with full checker options — worker count,
-// memory budget, store plugs. RecordGraph is forced on: the pipeline is
+// memory budget, deadline. RecordGraph is forced on: the pipeline is
 // the graph dump. The cases are identical under every option combination
 // the engine accepts; a MemoryBudgetBytes lets the model-checking half run
 // in bounded memory, spilling fingerprint shards to disk.
@@ -72,11 +72,12 @@ func GenerateOpts(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestC
 }
 
 // GenerateResult is GenerateOpts returning the full checker Result
-// alongside the cases, so callers can inspect its counters or violation. With opts.StateArena the graph is served from
-// the checker's retained-state arena — under a MemoryBudgetBytes it spills
-// to disk, so the generation pipeline runs on state graphs that never fit
-// in RAM (arrayot.State implements tla.BinaryDecoder). The graph is closed
-// before returning: the DOT file is the pipeline's hand-off artifact.
+// alongside the cases, so callers can inspect its counters or violation.
+// The graph is served from the checker's retained-state arena — under a
+// MemoryBudgetBytes it spills to disk, so the generation pipeline runs on
+// state graphs that never fit in RAM (arrayot.State implements
+// tla.BinaryDecoder). The graph is closed before returning: the DOT file is
+// the pipeline's hand-off artifact.
 func GenerateResult(cfg arrayot.Config, dotPath string, opts tla.Options) ([]TestCase, *tla.Result[arrayot.State], error) {
 	opts.RecordGraph = true
 	res, err := tla.Check(arrayot.Spec(cfg), opts)

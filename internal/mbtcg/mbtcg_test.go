@@ -36,39 +36,39 @@ func generate(t *testing.T) []TestCase {
 	return cases
 }
 
-// TestGenerateArenaSpilled: the pipeline run on an arena-backed state
-// graph spilled to disk under a one-byte memory budget produces a DOT dump
-// byte-identical to the resident live-graph run's, and the same cases —
+// TestGenerateArenaSpilled: the pipeline run on a state graph whose arena
+// spilled to disk under a one-byte memory budget produces a DOT dump
+// byte-identical to the resident run's, and the same cases —
 // the §5 generation pipeline on state graphs that never fit in RAM.
 func TestGenerateArenaSpilled(t *testing.T) {
 	cfg := arrayot.Config{Initial: []int{1, 2, 3}, Clients: 2, OpsPerClient: 1, Transformer: ot.NewTransformer(nil, false)}
 	dir := t.TempDir()
-	liveDot := filepath.Join(dir, "live.dot")
-	want, _, err := GenerateOpts(cfg, liveDot, tla.Options{})
+	residentDot := filepath.Join(dir, "resident.dot")
+	want, _, err := GenerateOpts(cfg, residentDot, tla.Options{})
 	if err != nil {
-		t.Fatalf("live: %v", err)
+		t.Fatalf("resident: %v", err)
 	}
-	arenaDot := filepath.Join(dir, "arena.dot")
-	got, res, err := GenerateResult(cfg, arenaDot, tla.Options{StateArena: true, MemoryBudgetBytes: 1})
+	spilledDot := filepath.Join(dir, "spilled.dot")
+	got, res, err := GenerateResult(cfg, spilledDot, tla.Options{MemoryBudgetBytes: 1})
 	if err != nil {
-		t.Fatalf("arena: %v", err)
+		t.Fatalf("spilled: %v", err)
 	}
 	if res.Distinct == 0 {
 		t.Fatal("no states explored")
 	}
-	wantDOT, err := os.ReadFile(liveDot)
+	wantDOT, err := os.ReadFile(residentDot)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotDOT, err := os.ReadFile(arenaDot)
+	gotDOT, err := os.ReadFile(spilledDot)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(gotDOT, wantDOT) {
-		t.Fatal("arena DOT dump differs from the live run's")
+		t.Fatal("spilled DOT dump differs from the resident run's")
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("arena cases differ from the live run's (%d vs %d)", len(got), len(want))
+		t.Fatalf("spilled cases differ from the resident run's (%d vs %d)", len(got), len(want))
 	}
 }
 

@@ -1,7 +1,8 @@
 package raftmongo
 
 import (
-	"reflect"
+	"bytes"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -81,7 +82,7 @@ func TestCommitPointEventuallyPropagated(t *testing.T) {
 		// states (term or log length past the bound) are recorded but
 		// never expanded, so they trivially reach nothing.
 		if w := tla.CheckEventuallyWithin(res.Graph, CommitPointsEqual, cfg.constraint); w != -1 {
-			t.Errorf("%s: state %q cannot reach commit-point agreement", name, res.Graph.Keys[w])
+			t.Errorf("%s: state %q cannot reach commit-point agreement", name, res.Graph.KeyAt(w))
 		}
 	}
 }
@@ -101,7 +102,8 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 	// while having diverged): the combination must still satisfy the
 	// invariant, i.e. the committed entry is on a majority.
 	foundCommit := false
-	for _, s := range res.Graph.States {
+	for id := 0; id < res.Graph.Len(); id++ {
+		s := res.Graph.StateAt(id)
 		for i := range s.Roles {
 			if !s.CommitPoints[i].IsNull() {
 				foundCommit = true
@@ -112,14 +114,7 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 		t.Fatal("state space contains no committed writes; config too small")
 	}
 	// Rollback must appear as an explored action.
-	sawRollback := false
-	for _, e := range res.Graph.Edges {
-		if e.Action == "RollbackOplog" {
-			sawRollback = true
-			break
-		}
-	}
-	if !sawRollback {
+	if !slices.Contains(res.Graph.ActionNames(), "RollbackOplog") {
 		t.Error("no RollbackOplog transitions explored")
 	}
 }
@@ -302,7 +297,8 @@ func TestLogMatchingPropertyHolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range res.Graph.States {
+	for id := 0; id < res.Graph.Len(); id++ {
+		s := res.Graph.StateAt(id)
 		n := s.NumNodes()
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
@@ -354,6 +350,17 @@ func TestQuickQuorumOverlap(t *testing.T) {
 	}
 }
 
+// dotOf renders a recorded graph as DOT, the byte-exact form in which two
+// runs' graphs are compared.
+func dotOf(t *testing.T, g *tla.Graph[State]) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := g.WriteDOT(&buf, "RaftMongo"); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 // TestParallelCheckerAgrees cross-checks the parallel model checker against
 // the sequential oracle on both RaftMongo variants: every counter and the
 // full recorded graph must be identical (the guarantee the rest of the
@@ -378,11 +385,8 @@ func TestParallelCheckerAgrees(t *testing.T) {
 					name, w, par.Distinct, par.Transitions, par.Depth, par.Terminal,
 					seq.Distinct, seq.Transitions, seq.Depth, seq.Terminal)
 			}
-			if !reflect.DeepEqual(par.Graph.Keys, seq.Graph.Keys) {
-				t.Fatalf("%s workers=%d: graph keys differ", name, w)
-			}
-			if !reflect.DeepEqual(par.Graph.Edges, seq.Graph.Edges) {
-				t.Fatalf("%s workers=%d: graph edges differ", name, w)
+			if !bytes.Equal(dotOf(t, par.Graph), dotOf(t, seq.Graph)) {
+				t.Fatalf("%s workers=%d: recorded graphs differ", name, w)
 			}
 		}
 	}

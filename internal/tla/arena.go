@@ -6,48 +6,45 @@ import (
 	"fmt"
 )
 
-// This file implements the retained-state arena: the answer to the memory
-// cap the visited set no longer imposes. A fingerprint set bounds
-// deduplication memory at 8 bytes per state (spilling to disk past the
-// budget — spill.go), but the engine still used to retain every discovered
-// state as a live S value so a counterexample could be reconstructed at a
-// violation. For slice-heavy spec states that retention, not the visited
-// set, is what caps explorable state spaces.
+// This file implements the retained-state arena: how the engine retains
+// every discovered state. A fingerprint set bounds deduplication memory at
+// 8 bytes per state (spilling to disk past the budget — spill.go); the
+// arena does the same for the states themselves, which a counterexample,
+// a checkpoint and a recorded graph must be able to reproduce.
 //
-// Options.StateArena replaces live retention with an append-only byte
-// arena of canonical encodings plus compact parent links: per state, the
-// encoding bytes (already computed for deduplication) and a fixed
+// Per state the arena keeps the plain encoding (codec.encode: the
+// byte-packed BinaryState encoding, or the Key() bytes) and a fixed
 // ~24-byte record (parent id, action index, depth, encoding location).
-// Live S values are kept only for the unexpanded window — the states a
-// frontier will still expand — and dropped as soon as they are expanded.
-// Under Options.MemoryBudgetBytes, sealed arena segments are spilled to a
-// temp file and read back on demand, so the visited set AND trace storage
+// Live S values exist only for the unexpanded frontier, which carries
+// them (levelFrontier) and drops them once the level is expanded. Under
+// Options.MemoryBudgetBytes, sealed arena segments are spilled to a temp
+// file and read back on demand, so the visited set AND state retention
 // both respect the budget.
 //
-// Counterexample reconstruction prefers a decode over a replay: when the
-// spec state implements BinaryDecoder, the arena walks the violating
-// state's parent chain and decodes each stored encoding directly. Specs
-// without a decoder fall back to the replay — re-execute the recorded
-// action at each step and select the successor whose encoding matches the
-// stored bytes. Either way the arena stores each state's plain encoding —
-// not the orbit-canonical one the visited store dedups on — because the
-// plain encoding identifies the exact state explored (encodings agree
-// with Key() by contract), so the reconstructed trace is byte-identical
-// to what live retention would have reported, even under symmetry
-// reduction, and storing it costs one AppendBinary per distinct state
-// instead of an orbit scan.
+// A state is reconstructed by decode or by replay: when the spec state
+// implements BinaryDecoder the stored encoding is decoded directly;
+// otherwise the parent chain is replayed — re-execute the recorded action
+// at each step and select the successor whose encoding matches the stored
+// bytes. The arena stores each state's plain encoding, not the
+// orbit-canonical one the visited store dedups on: the plain encoding
+// identifies the exact state explored (encodings agree with Key() by
+// contract), so reconstructed traces and graph states are the states the
+// run actually visited, even under symmetry reduction, and storing it
+// costs one encoding per distinct state instead of an orbit scan.
 //
-// With a decoder available the arena also doubles as the state graph's
-// backing store (Options.RecordGraph + Options.StateArena): graph edges
-// (parent id, action index, child id) are appended to their own segment
-// list as fixed-width records, spilled to the same temp file under the
-// same budget, and Result.Graph serves states and edges lazily from the
-// arena instead of retaining live values — see Graph.
+// Under Options.RecordGraph the arena is also the state graph's store:
+// graph edges (parent id, action index, child id) are appended to their own
+// segment list as fixed-width records, spilled to the same temp file under
+// the same budget, and Result.Graph serves states and edges from the arena
+// — see Graph.
 
-// arenaSegBytes is the target size of one arena segment. Segments are
-// sealed when full (or when a budget flush forces it) and become the unit
-// of disk spilling.
-const arenaSegBytes = 1 << 20
+// arenaSegBytes is the size of a full arena segment. Segments are sealed
+// when full (or when a budget flush forces it) and become the unit of disk
+// spilling. A list's first segments are smaller (see stateArena.tail).
+const (
+	arenaSegBytes    = 1 << 20
+	arenaMinSegBytes = 16 << 10
+)
 
 // arenaMeta is the fixed-size per-state record: the parent link and where
 // the state's canonical encoding lives.
@@ -81,19 +78,19 @@ type stateArena struct {
 	resident int64 // encoding + edge bytes currently held in memory
 	file     File
 	fileSize int64
-	degraded bool // a persistent spill-write failure switched to live retention of segments
+	degraded bool // a persistent spill-write failure switched to resident retention of segments
 
-	// Edge recording (Options.RecordGraph + Options.StateArena): graph
-	// edges live in their own segment list of fixed arenaEdgeBytes records,
-	// sharing the resident budget and the spill file with the encodings.
+	// Edge recording (Options.RecordGraph): graph edges live in their own
+	// segment list of fixed arenaEdgeBytes records, sharing the resident
+	// budget and the spill file with the encodings.
 	recordEdges bool
 	edgeSegs    []arenaSeg
 	edgeCount   int
 	lastFrom    int  // highest From appended so far; -1 before the first edge
-	edgesMono   bool // From values arrived in nondecreasing order (the default frontier)
+	edgesMono   bool // From values arrived in nondecreasing order, as the BFS merge records them
 }
 
-func newStateArena(budget int64, fsys FS, em *engineMetrics) *stateArena {
+func newArena(budget int64, fsys FS, em *engineMetrics) *stateArena {
 	return &stateArena{budget: budget, fsys: resolveFS(fsys), em: em, lastFrom: -1, edgesMono: true}
 }
 
@@ -107,11 +104,7 @@ func (a *stateArena) len() int { return len(a.meta) }
 // id for the record is the arena's current length before the call; enc is
 // copied, so it may alias a codec's scratch buffer.
 func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) error {
-	if len(a.segs) == 0 || a.segs[len(a.segs)-1].spilled ||
-		a.segs[len(a.segs)-1].size+len(enc) > arenaSegBytes {
-		a.segs = append(a.segs, arenaSeg{buf: make([]byte, 0, segCap(len(enc)))})
-	}
-	seg := &a.segs[len(a.segs)-1]
+	seg := a.tail(&a.segs, len(enc))
 	off := seg.size
 	seg.buf = append(seg.buf, enc...)
 	seg.size += len(enc)
@@ -130,23 +123,29 @@ func (a *stateArena) add(enc []byte, parent int, act uint16, depth int) error {
 	return nil
 }
 
-// segCap sizes a fresh segment: the standard arenaSegBytes, or exactly the
-// oversized encoding that would never fit one.
-func segCap(need int) int {
-	if need > arenaSegBytes {
-		return need
+// tail returns the segment of list the next need bytes go to: the last
+// one while it is resident and has room, otherwise a fresh one. Fresh
+// segments start at arenaMinSegBytes and double up to arenaSegBytes, so a
+// small run does not allocate (and zero) whole segments; a smaller budget
+// caps them, since a segment is sealed and spilled once it passes the
+// budget; an oversized encoding gets a segment of exactly its size.
+func (a *stateArena) tail(list *[]arenaSeg, need int) *arenaSeg {
+	segs := *list
+	if n := len(segs); n > 0 && !segs[n-1].spilled && segs[n-1].size+need <= cap(segs[n-1].buf) {
+		return &segs[n-1]
 	}
-	return arenaSegBytes
+	c := min(int64(arenaMinSegBytes)<<min(len(segs), 16), arenaSegBytes)
+	if a.budget > 0 {
+		c = min(c, a.budget)
+	}
+	*list = append(segs, arenaSeg{buf: make([]byte, 0, max(int(c), need))})
+	return &(*list)[len(*list)-1]
 }
 
 // addEdge appends one graph edge as a fixed-width record. Edge bytes count
 // against the same resident budget as encodings and spill with them.
 func (a *stateArena) addEdge(from int, act uint16, to int) error {
-	if len(a.edgeSegs) == 0 || a.edgeSegs[len(a.edgeSegs)-1].spilled ||
-		a.edgeSegs[len(a.edgeSegs)-1].size+arenaEdgeBytes > arenaSegBytes {
-		a.edgeSegs = append(a.edgeSegs, arenaSeg{buf: make([]byte, 0, arenaSegBytes)})
-	}
-	seg := &a.edgeSegs[len(a.edgeSegs)-1]
+	seg := a.tail(&a.edgeSegs, arenaEdgeBytes)
 	var rec [arenaEdgeBytes]byte
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(from))
 	binary.LittleEndian.PutUint16(rec[4:6], act)
@@ -352,40 +351,28 @@ func (a *stateArena) close() error {
 	return a.fsys.Remove(name)
 }
 
-// retainer owns discovered-state retention for one checking run, behind
-// one concrete type with two modes. Live mode (the default) keeps every
-// state and its bookkeeping entry in memory, exactly as the engine always
-// has. Arena mode (Options.StateArena) keeps canonical encodings and
-// parent links in a stateArena and live S values only for states awaiting
-// expansion (retainLive/release bracket the window).
+// retainer owns discovered-state retention for one checking run: the
+// arena of plain encodings and parent links, plus the interned action names
+// its records index. The live values of states awaiting expansion travel
+// with the frontier (levelFrontier), not here.
 type retainer[S State] struct {
 	arena  *stateArena
 	acts   []string // interned action names; acts[0] is the initial-state ""
 	actIdx map[string]uint16
 
-	// graphOwned marks that Result.Graph serves lazily from the arena: the
-	// graph, not the retainer, then owns the arena's spill file, and
-	// Graph.Close releases it instead of retainer.close.
+	// graphOwned marks that Result.Graph serves from the arena: the graph,
+	// not the retainer, then owns the arena's spill file, and Graph.Close
+	// releases it instead of retainer.close.
 	graphOwned bool
-
-	// live mode
-	states  []S
-	entries []stateEntry
-
-	// arena mode: the unexpanded window
-	live map[int]S
 }
 
 func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retainer[S] {
-	if !opts.StateArena {
-		return &retainer[S]{}
-	}
 	r := &retainer[S]{
-		arena:  newStateArena(opts.MemoryBudgetBytes, opts.FS, em),
+		arena:  newArena(opts.MemoryBudgetBytes, opts.FS, em),
 		acts:   []string{""},
 		actIdx: map[string]uint16{"": 0},
-		live:   map[int]S{},
 	}
+	r.arena.recordEdges = opts.RecordGraph
 	for _, a := range spec.Actions {
 		if _, ok := r.actIdx[a.Name]; !ok {
 			r.actIdx[a.Name] = uint16(len(r.acts))
@@ -395,189 +382,115 @@ func newRetainer[S State](spec *Spec[S], opts Options, em *engineMetrics) *retai
 	return r
 }
 
-func (r *retainer[S]) len() int {
-	if r.arena != nil {
-		return r.arena.len()
-	}
-	return len(r.states)
+func (r *retainer[S]) len() int { return r.arena.len() }
+
+// add records one newly discovered state. enc must be the state's plain
+// encoding — codec.encode, not the orbit-canonical form — and is copied.
+func (r *retainer[S]) add(enc []byte, parent int, act string, depth int) error {
+	return r.arena.add(enc, parent, r.actIdx[act], depth)
 }
 
-// add records one newly discovered state. In arena mode enc must be the
-// state's plain encoding — codec.encode, not the orbit-canonical form —
-// and is copied; in live mode enc is unused.
-func (r *retainer[S]) add(s S, enc []byte, parent int, act string, depth int) error {
-	if r.arena != nil {
-		return r.arena.add(enc, parent, r.actIdx[act], depth)
-	}
-	r.states = append(r.states, s)
-	r.entries = append(r.entries, stateEntry{id: len(r.states) - 1, parent: parent, act: act, depth: depth})
-	return nil
-}
-
-// addEdge records one graph edge into the arena's edge segments (arena
-// graph mode only; live mode appends to Graph.Edges directly).
+// addEdge records one graph edge into the arena's edge segments.
 func (r *retainer[S]) addEdge(from int, act string, to int) error {
 	return r.arena.addEdge(from, r.actIdx[act], to)
 }
 
-// retainLive parks a live value for a state the engine will expand later.
-// Live mode retains everything already; arena mode adds it to the window.
-func (r *retainer[S]) retainLive(id int, s S) {
-	if r.arena != nil {
-		r.live[id] = s
-	}
-}
+func (r *retainer[S]) depthOf(id int) int { return int(r.arena.meta[id].depth) }
 
-// stateOf returns the live value of a not-yet-expanded state. Safe for
-// concurrent readers while no add/retainLive/release runs (the expansion
-// phase).
-func (r *retainer[S]) stateOf(id int) S {
-	if r.arena != nil {
-		return r.live[id]
-	}
-	return r.states[id]
-}
-
-func (r *retainer[S]) depthOf(id int) int {
-	if r.arena != nil {
-		return int(r.arena.meta[id].depth)
-	}
-	return r.entries[id].depth
-}
-
-// release drops the live value of an expanded state (arena mode; live mode
-// retains by design).
-func (r *retainer[S]) release(id int) {
-	if r.arena != nil {
-		delete(r.live, id)
-	}
-}
-
-// releaseAll drops the live values of a fully expanded frontier.
-func (r *retainer[S]) releaseAll(ids []int) {
-	if r.arena == nil {
-		return
-	}
-	for _, id := range ids {
-		delete(r.live, id)
-	}
-}
-
-// trace reconstructs the initial-state-to-id trace and its action labels.
-// Live mode walks the retained states. Arena mode decodes each stored
-// encoding on the parent chain when the spec implements BinaryDecoder;
-// otherwise it replays the recorded actions from the matching initial
-// state, selecting at every step the successor whose plain encoding equals
-// the stored bytes (see the file comment). Both reconstructions are exact —
-// the trace equals the live-mode one byte for byte. cod must be a codec no
-// expansion worker is using — the merge goroutine's, or any codec after
-// the workers joined.
-func (r *retainer[S]) trace(spec *Spec[S], cod *codec[S], id int) ([]S, []string, error) {
-	if r.arena == nil {
-		trace, acts := rebuildTrace(r.entries, r.states, id)
-		return trace, acts, nil
-	}
-	var rev []int
-	for i := id; i >= 0; i = int(r.arena.meta[i].parent) {
-		rev = append(rev, i)
-	}
-	if cod.dec != nil {
-		var enc []byte
-		trace := make([]S, 0, len(rev))
-		acts := make([]string, 0, len(rev)-1)
-		for i := len(rev) - 1; i >= 0; i-- {
-			sid := rev[i]
-			var err error
-			enc, err = r.arena.encoding(sid, enc[:0])
-			if err != nil {
-				return nil, nil, err
-			}
-			s, err := cod.dec(enc)
-			if err != nil {
-				return nil, nil, fmt.Errorf("tla: arena decode: state %d: %w", sid, err)
-			}
-			if i < len(rev)-1 {
-				acts = append(acts, r.acts[r.arena.meta[sid].act])
-			}
-			trace = append(trace, s)
-		}
-		return trace, acts, nil
-	}
-	var target, cand []byte
-	trace := make([]S, 0, len(rev))
-	acts := make([]string, 0, len(rev)-1)
-	var cur S
-	for i := len(rev) - 1; i >= 0; i-- {
-		sid := rev[i]
-		var err error
-		// encoding copies, so target is reusable across steps and safe to
-		// hold while the candidate encodings churn through cand.
-		target, err = r.arena.encoding(sid, target[:0])
-		if err != nil {
-			return nil, nil, err
-		}
-		found := false
-		if i == len(rev)-1 {
-			for _, s := range spec.Init() {
-				if cand = cod.encode(s, cand[:0]); bytes.Equal(cand, target) {
-					cur, found = s, true
-					break
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("tla: arena replay: no initial state matches the stored encoding of state %d", sid)
-			}
-		} else {
-			actName := r.acts[r.arena.meta[sid].act]
-			for _, a := range spec.Actions {
-				if a.Name != actName {
-					continue
-				}
-				for _, succ := range a.Next(cur) {
-					if cand = cod.encode(succ, cand[:0]); bytes.Equal(cand, target) {
-						cur, found = succ, true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-			if !found {
-				return nil, nil, fmt.Errorf("tla: arena replay: no %s-successor matches the stored encoding of state %d", actName, sid)
-			}
-			acts = append(acts, actName)
-		}
-		trace = append(trace, cur)
-	}
-	return trace, acts, nil
-}
-
-// decodeState reconstructs one state from its stored encoding (arena mode
-// with a bound decoder only). The lazy Graph serves StateAt/KeyAt from it.
-func (r *retainer[S]) decodeState(cod *codec[S], id int) (S, error) {
+// state reconstructs state id from the arena. With a bound decoder the
+// stored encoding is decoded directly. Otherwise the state is replayed:
+// its parent is reconstructed first, the recorded action is re-executed,
+// and the successor whose plain encoding equals the stored bytes is the
+// state (initial states match against Init). Either way the result is
+// exactly the state explored (see the file comment). cache, when non-nil,
+// memoizes every reconstructed state, so callers walking many states with
+// shared ancestors pay each replay once. cod must be a codec no expansion
+// worker is using — the merge goroutine's, or any codec after the workers
+// joined.
+func (r *retainer[S]) state(spec *Spec[S], cod *codec[S], id int, cache map[int]S) (S, error) {
 	var zero S
+	if s, ok := cache[id]; ok {
+		return s, nil
+	}
 	enc, err := r.arena.encoding(id, nil)
 	if err != nil {
 		return zero, err
 	}
-	s, err := cod.dec(enc)
-	if err != nil {
-		return zero, fmt.Errorf("tla: arena decode: state %d: %w", id, err)
+	if cod.dec != nil {
+		s, err := cod.dec(enc)
+		if err != nil {
+			return zero, fmt.Errorf("tla: arena decode: state %d: %w", id, err)
+		}
+		if cache != nil {
+			cache[id] = s
+		}
+		return s, nil
 	}
-	return s, nil
+	m := r.arena.meta[id]
+	if int(m.act) >= len(r.acts) {
+		return zero, fmt.Errorf("tla: arena replay: state %d records unknown action index %d", id, m.act)
+	}
+	var cand []byte
+	match := func(succs []S) (S, bool) {
+		for _, s := range succs {
+			if cand = cod.encode(s, cand[:0]); bytes.Equal(cand, enc) {
+				if cache != nil {
+					cache[id] = s
+				}
+				return s, true
+			}
+		}
+		return zero, false
+	}
+	if m.parent < 0 {
+		if s, ok := match(spec.Init()); ok {
+			return s, nil
+		}
+		return zero, fmt.Errorf("tla: arena replay: no initial state matches the stored encoding of state %d", id)
+	}
+	parent, err := r.state(spec, cod, int(m.parent), cache)
+	if err != nil {
+		return zero, err
+	}
+	actName := r.acts[m.act]
+	for _, a := range spec.Actions {
+		if a.Name != actName {
+			continue
+		}
+		if s, ok := match(a.Next(parent)); ok {
+			return s, nil
+		}
+	}
+	return zero, fmt.Errorf("tla: arena replay: no %s-successor matches the stored encoding of state %d", actName, id)
 }
 
-// degradedMemory reports whether the arena had to fall back to in-memory
-// retention after a persistent spill failure.
-func (r *retainer[S]) degradedMemory() bool {
-	return r.arena != nil && r.arena.degraded
+// trace reconstructs the initial-state-to-id trace and its action labels,
+// one state reconstruction per step of the parent chain.
+func (r *retainer[S]) trace(spec *Spec[S], cod *codec[S], id int) ([]S, []string, error) {
+	var rev []int
+	for i := id; i >= 0; i = int(r.arena.meta[i].parent) {
+		rev = append(rev, i)
+	}
+	cache := make(map[int]S, len(rev))
+	trace := make([]S, 0, len(rev))
+	acts := make([]string, 0, len(rev)-1)
+	for i := len(rev) - 1; i >= 0; i-- {
+		s, err := r.state(spec, cod, rev[i], cache)
+		if err != nil {
+			return nil, nil, err
+		}
+		if i < len(rev)-1 {
+			acts = append(acts, r.acts[r.arena.meta[rev[i]].act])
+		}
+		trace = append(trace, s)
+	}
+	return trace, acts, nil
 }
 
 // close releases the arena's spill file, if any — unless the arena now
 // backs Result.Graph, whose Close owns that release.
 func (r *retainer[S]) close() error {
-	if r.arena == nil || r.graphOwned {
+	if r.graphOwned {
 		return nil
 	}
 	return r.arena.close()

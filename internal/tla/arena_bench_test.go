@@ -9,7 +9,7 @@ import (
 
 // heavyState mimics a slice-heavy spec state (the replica-set shape:
 // identity-indexed slices of slices) whose live retention costs far more
-// than its byte encoding — the workload Options.StateArena exists for.
+// than its byte encoding — the workload the state arena exists for.
 type heavyState struct {
 	Roles []byte
 	Terms []int
@@ -90,19 +90,15 @@ func mkHeavyState(i int) heavyState {
 	return s
 }
 
-// BenchmarkArenaRetention measures what the retained-state arena is for:
-// the heap bytes one discovered state costs to retain until the end of a
-// run, live S values (the default) against arena encodings
-// (Options.StateArena). The retained-B/state metric is heap growth across
-// retaining 50k states, measured between forced GCs with the retention
-// still referenced; arena mode must come in severalfold under live mode
-// on this slice-heavy state.
-// BenchmarkArenaGraph measures the arena-native state graph: states and
-// edges recorded straight into the arena's append-only segments, resident
-// or spilling under a tight memory budget. Reported per variant: edge
-// recording throughput (edges/sec) and the heap bytes one state retains
-// with graph recording on (retained-B/state) — the number that must stay
-// flat as the graph grows, since edges live in segments, not the heap.
+// BenchmarkArenaGraph measures the state arena: states (and, with graph
+// recording on, edges) recorded straight into its append-only segments,
+// resident or spilling under a tight memory budget. Reported per variant:
+// the heap bytes one retained state costs until the end of a run
+// (retained-B/state: heap growth across 50k states, measured between
+// forced GCs with the arena still referenced — the number that must stay
+// flat as the graph grows, since encodings and edges live in segments,
+// not the heap) and, for the graph variants, edge recording throughput
+// (edges/sec).
 func BenchmarkArenaGraph(b *testing.B) {
 	const n = 50000
 	spec := &Spec[heavyState]{
@@ -111,24 +107,23 @@ func BenchmarkArenaGraph(b *testing.B) {
 	}
 	for _, mode := range []struct {
 		name   string
+		graph  bool
 		budget int64
-	}{{"resident", 0}, {"spill", 1 << 16}} {
+	}{{"states-only", false, 0}, {"resident", true, 0}, {"spill", true, 1 << 16}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var before, after runtime.MemStats
 				runtime.GC()
 				runtime.ReadMemStats(&before)
-				ret := newRetainer(spec, Options{StateArena: true, MemoryBudgetBytes: mode.budget}, nil)
-				ret.arena.recordEdges = true
+				ret := newRetainer(spec, Options{RecordGraph: mode.graph, MemoryBudgetBytes: mode.budget}, nil)
 				var encBuf []byte
 				for j := 0; j < n; j++ {
-					s := mkHeavyState(j)
-					encBuf = s.AppendBinary(encBuf[:0])
-					if err := ret.add(s, encBuf, j-1, "Step", j); err != nil {
+					encBuf = mkHeavyState(j).AppendBinary(encBuf[:0])
+					if err := ret.add(encBuf, j-1, "Step", j); err != nil {
 						b.Fatal(err)
 					}
-					if j > 0 {
+					if mode.graph && j > 0 {
 						if err := ret.addEdge(j-1, "Step", j); err != nil {
 							b.Fatal(err)
 						}
@@ -142,43 +137,8 @@ func BenchmarkArenaGraph(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(b.N)*(n-1)/b.Elapsed().Seconds(), "edges/sec")
-		})
-	}
-}
-
-func BenchmarkArenaRetention(b *testing.B) {
-	const n = 50000
-	spec := &Spec[heavyState]{
-		Name:    "heavy",
-		Actions: []Action[heavyState]{{Name: "Step"}},
-	}
-	for _, mode := range []struct {
-		name  string
-		arena bool
-	}{{"live", false}, {"arena", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				var before, after runtime.MemStats
-				runtime.GC()
-				runtime.ReadMemStats(&before)
-				ret := newRetainer(spec, Options{StateArena: mode.arena}, nil)
-				var encBuf []byte
-				for j := 0; j < n; j++ {
-					s := mkHeavyState(j)
-					encBuf = s.AppendBinary(encBuf[:0])
-					if err := ret.add(s, encBuf, j-1, "Step", j); err != nil {
-						b.Fatal(err)
-					}
-				}
-				runtime.GC()
-				runtime.ReadMemStats(&after)
-				b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/n, "retained-B/state")
-				runtime.KeepAlive(ret)
-				if err := ret.close(); err != nil {
-					b.Fatal(err)
-				}
+			if mode.graph {
+				b.ReportMetric(float64(b.N)*(n-1)/b.Elapsed().Seconds(), "edges/sec")
 			}
 		})
 	}

@@ -5,19 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
-	"sort"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// Arena-backed state graph tests. The contract under test (arena.go,
-// engine.go, dot.go, checkpoint.go): with a BinaryDecoder spec state,
-// StateArena+RecordGraph serves Result.Graph from the arena's append-only
-// segments — resident or spilled — and the graph is indistinguishable from
-// a live RecordGraph run's: same nodes, same keys, same edges, byte-
-// identical DOT output.
+// State graph tests. The contract under test (arena.go, engine.go, dot.go,
+// checkpoint.go): RecordGraph serves Result.Graph from the arena's
+// append-only segments, and the graph is the same whether the arena is
+// resident, spilled or restored from a checkpoint — same nodes, same keys,
+// same edges, byte-identical DOT output — and the same as the reference
+// explorer's.
 
 // dotBytes renders g as DOT, failing the test on error.
 func dotBytes[S State](t *testing.T, g *Graph[S], name string) []byte {
@@ -46,122 +44,40 @@ func cancelAfter[S State](spec *Spec[S], cancel context.CancelFunc, after int64)
 	return spec
 }
 
-// TestArenaGraphMatchesResident is the headline property: a
-// StateArena+RecordGraph run — resident, and spilled to disk under a
-// one-byte memory budget — produces a graph byte-identical in DOT form to
-// a plain live RecordGraph run, at one and at four workers.
+// TestArenaGraphMatchesResident is the headline graph property: a graph
+// whose arena spilled to disk under a one-byte memory budget is
+// byte-identical in DOT form to the resident graph, at one and at four
+// workers, and the resident graph matches the reference explorer.
 func TestArenaGraphMatchesResident(t *testing.T) {
 	const max = 25
 	for _, w := range []int{1, 4} {
 		want, err := Check(binSpec(max, false), Options{RecordGraph: true, Workers: w})
-		if err != nil {
-			t.Fatalf("workers=%d live: %v", w, err)
-		}
+		assertMatchesReference(t, fmt.Sprintf("workers=%d/resident", w), binSpec(max, false), want, err)
 		wantDOT := dotBytes(t, want.Graph, "bincounter")
-		for _, budget := range []int64{0, 1} {
-			label := fmt.Sprintf("workers=%d/budget=%d", w, budget)
-			got, err := Check(binSpec(max, false), Options{
-				RecordGraph: true, Workers: w, StateArena: true, MemoryBudgetBytes: budget,
-			})
-			if err != nil {
-				t.Fatalf("%s: %v", label, err)
+		label := fmt.Sprintf("workers=%d/spilled", w)
+		got, err := Check(binSpec(max, false), Options{RecordGraph: true, Workers: w, MemoryBudgetBytes: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for id := 0; id < want.Graph.Len(); id++ {
+			if sk := got.Graph.StateAt(id).Key(); sk != want.Graph.KeyAt(id) {
+				t.Fatalf("%s: StateAt(%d).Key() = %q, want %q", label, id, sk, want.Graph.KeyAt(id))
 			}
-			if got.Graph.Len() != want.Graph.Len() || got.Graph.NumEdges() != want.Graph.NumEdges() {
-				t.Fatalf("%s: graph = %d nodes %d edges, want %d nodes %d edges",
-					label, got.Graph.Len(), got.Graph.NumEdges(), want.Graph.Len(), want.Graph.NumEdges())
-			}
-			for id := 0; id < want.Graph.Len(); id++ {
-				if gk, wk := got.Graph.KeyAt(id), want.Graph.KeyAt(id); gk != wk {
-					t.Fatalf("%s: node %d key = %q, want %q", label, id, gk, wk)
-				}
-				if sk := got.Graph.StateAt(id).Key(); sk != want.Graph.KeyAt(id) {
-					t.Fatalf("%s: StateAt(%d).Key() = %q, want %q", label, id, sk, want.Graph.KeyAt(id))
-				}
-			}
-			if gotDOT := dotBytes(t, got.Graph, "bincounter"); !bytes.Equal(gotDOT, wantDOT) {
-				t.Fatalf("%s: arena DOT differs from the live run's", label)
-			}
-			if err := got.Graph.Close(); err != nil {
-				t.Fatalf("%s: Close: %v", label, err)
-			}
-			if err := got.Graph.Close(); err != nil {
-				t.Fatalf("%s: second Close: %v", label, err)
-			}
+		}
+		if gotDOT := dotBytes(t, got.Graph, "bincounter"); !bytes.Equal(gotDOT, wantDOT) {
+			t.Fatalf("%s: spilled DOT differs from the resident run's", label)
+		}
+		closeGraphs(t, want, got)
+		if err := got.Graph.Close(); err != nil {
+			t.Fatalf("%s: second Close: %v", label, err)
 		}
 	}
 }
 
-// keyEdges projects a graph's edges onto state keys — the id-independent
-// form runs with different state numberings are compared in.
-func keyEdges[S State](t *testing.T, g *Graph[S]) []string {
-	t.Helper()
-	var out []string
-	if err := g.ForEachEdge(func(e Edge) error {
-		out = append(out, g.KeyAt(e.From)+" -"+e.Action+"-> "+g.KeyAt(e.To))
-		return nil
-	}); err != nil {
-		t.Fatalf("ForEachEdge: %v", err)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// reversingFrontier hands out each BFS level in reverse discovery order, so
-// the merge records arena edges with decreasing From ids.
-type reversingFrontier struct{ next []int }
-
-func (f *reversingFrontier) Push(id int) { f.next = append(f.next, id) }
-
-func (f *reversingFrontier) NextLevel() []int {
-	level := f.next
-	f.next = nil
-	slices.Reverse(level)
-	return level
-}
-
-// TestArenaGraphUnorderedEdges: a caller-supplied frontier that expands a
-// level out of id order records the arena graph with non-monotone From ids;
-// the graph still matches the default run on key-projected edges, and the
-// DOT renderer falls back to sorting the whole edge list.
-func TestArenaGraphUnorderedEdges(t *testing.T) {
-	const max = 15
-	want, err := Check(binSpec(max, false), Options{RecordGraph: true})
-	if err != nil {
-		t.Fatalf("default frontier: %v", err)
-	}
-	got, err := Check(binSpec(max, false), Options{
-		RecordGraph: true, StateArena: true, Workers: 4, Frontier: &reversingFrontier{},
-	})
-	if err != nil {
-		t.Fatalf("reversing frontier: %v", err)
-	}
-	if got.Graph.ret.arena.edgesMono {
-		t.Fatal("reversed levels recorded nondecreasing From ids; the test no longer reaches the unordered path")
-	}
-	if got.Graph.Len() != want.Graph.Len() {
-		t.Fatalf("graph = %d nodes, want %d", got.Graph.Len(), want.Graph.Len())
-	}
-	gk, wk := keyEdges(t, got.Graph), keyEdges(t, want.Graph)
-	if len(gk) != len(wk) {
-		t.Fatalf("graph = %d edges, want %d", len(gk), len(wk))
-	}
-	for i := range wk {
-		if gk[i] != wk[i] {
-			t.Fatalf("edge %d: %q, want %q", i, gk[i], wk[i])
-		}
-	}
-	var buf bytes.Buffer
-	if err := got.Graph.WriteDOT(&buf, "bincounter"); err != nil {
-		t.Fatalf("WriteDOT: %v", err)
-	}
-	if err := got.Graph.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
-}
-
-// TestArenaDecodeTrace: a violation under StateArena with a BinaryDecoder
-// state reconstructs its counterexample by decoding arena encodings, and
-// the trace equals the live run's action-replay-free retention.
+// TestArenaDecodeTrace: a violation on a BinaryDecoder state reconstructs
+// its counterexample by decoding arena encodings, and with ForceKeyEncoding
+// (no decoder) by replaying the recorded actions. Resident or spilled, both
+// traces are identical and as short as the reference explorer's.
 func TestArenaDecodeTrace(t *testing.T) {
 	mk := func() *Spec[binState] {
 		spec := binSpec(25, false)
@@ -176,29 +92,18 @@ func TestArenaDecodeTrace(t *testing.T) {
 		}}
 		return spec
 	}
-	want, wantErr := Check(mk(), Options{})
-	got, gotErr := Check(mk(), Options{StateArena: true})
-	if !errors.Is(wantErr, ErrInvariantViolated) || !errors.Is(gotErr, ErrInvariantViolated) {
-		t.Fatalf("verdicts: live=%v arena=%v, want violations", wantErr, gotErr)
-	}
-	if len(got.Violation.Trace) != len(want.Violation.Trace) {
-		t.Fatalf("trace lengths: %d vs %d", len(got.Violation.Trace), len(want.Violation.Trace))
-	}
-	for i := range want.Violation.Trace {
-		if gk, wk := got.Violation.Trace[i].Key(), want.Violation.Trace[i].Key(); gk != wk {
-			t.Fatalf("trace step %d: %q, want %q", i, gk, wk)
-		}
-	}
-	for i := range want.Violation.TraceActs {
-		if got.Violation.TraceActs[i] != want.Violation.TraceActs[i] {
-			t.Fatalf("trace act %d: %q, want %q", i, got.Violation.TraceActs[i], want.Violation.TraceActs[i])
-		}
+	decoded, err := Check(mk(), Options{})
+	assertMatchesReference(t, "decoded", mk(), decoded, err)
+	for _, opts := range []Options{{MemoryBudgetBytes: 1}, {ForceKeyEncoding: true}, {ForceKeyEncoding: true, MemoryBudgetBytes: 1}} {
+		label := fmt.Sprintf("forcekeys=%v/budget=%d", opts.ForceKeyEncoding, opts.MemoryBudgetBytes)
+		got, gotErr := Check(mk(), opts)
+		assertResultsEqual(t, label, decoded, got, err, gotErr)
 	}
 }
 
 // ckGraphOpts is the option set the graph-checkpoint tests share.
 func ckGraphOpts() Options {
-	return Options{RecordGraph: true, StateArena: true, MemoryBudgetBytes: 1, Workers: 4}
+	return Options{RecordGraph: true, MemoryBudgetBytes: 1, Workers: 4}
 }
 
 // TestCheckpointArenaGraph: a checkpointing run records its graph into the
@@ -249,14 +154,14 @@ func TestCheckpointArenaGraph(t *testing.T) {
 }
 
 // TestResumeGraphRequiresEdges: resuming with RecordGraph from a
-// checkpoint whose manifest predates edge recording (none written) is
-// rejected with ErrBadCheckpoint instead of resumed into a partial graph.
+// checkpoint written without it (no edge records) is rejected with
+// ErrBadCheckpoint instead of resumed into a partial graph.
 func TestResumeGraphRequiresEdges(t *testing.T) {
 	const max = 20
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Options{StateArena: true, MemoryBudgetBytes: 1, Workers: 4, Context: ctx, CheckpointDir: dir}
+	opts := Options{MemoryBudgetBytes: 1, Workers: 4, Context: ctx, CheckpointDir: dir}
 	if _, err := Check(cancelAfter(binSpec(max, false), cancel, 200), opts); !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want an interrupted run", err)
 	}

@@ -2,6 +2,7 @@ package tla
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -16,7 +17,7 @@ import (
 func TestArenaRoundTrip(t *testing.T) {
 	for _, budget := range []int64{0, 1, 1 << 10} {
 		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) {
-			a := newStateArena(budget, nil, nil)
+			a := newArena(budget, nil, nil)
 			defer a.close()
 			rng := rand.New(rand.NewSource(1))
 			var want [][]byte
@@ -57,7 +58,7 @@ func TestArenaRoundTrip(t *testing.T) {
 // larger than a whole segment still round-trips, resident and spilled.
 func TestArenaOversizedEncoding(t *testing.T) {
 	for _, budget := range []int64{0, 1} {
-		a := newStateArena(budget, nil, nil)
+		a := newArena(budget, nil, nil)
 		big := bytes.Repeat([]byte{0xAB}, arenaSegBytes+17)
 		if err := a.add([]byte("small"), -1, 0, 0); err != nil {
 			t.Fatal(err)
@@ -80,7 +81,7 @@ func TestArenaOversizedEncoding(t *testing.T) {
 // one-byte budget spills every segment, the spill file exists during the
 // run, and close removes it.
 func TestArenaSpillFileLifecycle(t *testing.T) {
-	a := newStateArena(1, nil, nil)
+	a := newArena(1, nil, nil)
 	if err := a.add([]byte("abc"), -1, 0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -101,58 +102,32 @@ func TestArenaSpillFileLifecycle(t *testing.T) {
 		t.Fatalf("spill file survived close: stat err = %v", err)
 	}
 	// Closing a never-spilled arena is a no-op.
-	if err := newStateArena(0, nil, nil).close(); err != nil {
+	if err := newArena(0, nil, nil).close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// assertArenaAgrees cross-checks Options.StateArena against live
-// retention: identical counters and — where both report traces — the
-// trace contract (live mode: byte-identical; arena mode without symmetry:
-// also byte-identical, since the replay matches injective encodings).
+// assertArenaAgrees runs spec with its graph recorded, once with the arena
+// resident and once forced to disk under a one-byte budget, and checks both
+// runs against the reference explorer.
 func assertArenaAgrees[S State](t *testing.T, label string, spec *Spec[S], opts Options) {
 	t.Helper()
-	want, wantErr := Check(spec, opts)
 	for _, budget := range []int64{0, 1} {
-		aOpts := opts
-		aOpts.StateArena = true
-		aOpts.MemoryBudgetBytes = budget
-		got, gotErr := Check(spec, aOpts)
-		desc := fmt.Sprintf("%s/arena-budget=%d", label, budget)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: err = %v, want %v", desc, gotErr, wantErr)
-		}
-		if got.Distinct != want.Distinct || got.Transitions != want.Transitions ||
-			got.Depth != want.Depth || got.Terminal != want.Terminal ||
-			got.ConstraintCuts != want.ConstraintCuts {
-			t.Fatalf("%s: counters differ:\n got  %+v\n want %+v", desc, got, want)
-		}
-		if (want.Violation == nil) != (got.Violation == nil) {
-			t.Fatalf("%s: violation = %v, want %v", desc, got.Violation, want.Violation)
-		}
-		if want.Violation != nil {
-			wv, gv := want.Violation, got.Violation
-			if gv.Invariant != wv.Invariant {
-				t.Fatalf("%s: invariant %s, want %s", desc, gv.Invariant, wv.Invariant)
-			}
-			wk, gk := traceKeys(wv.Trace), traceKeys(gv.Trace)
-			if len(wk) != len(gk) {
-				t.Fatalf("%s: trace lengths differ: %d vs %d", desc, len(gk), len(wk))
-			}
-			for i := range wk {
-				if wk[i] != gk[i] {
-					t.Fatalf("%s: replayed trace diverges at %d: %s vs %s", desc, i, gk[i], wk[i])
-				}
-			}
-		}
+		o := opts
+		o.RecordGraph, o.MemoryBudgetBytes = true, budget
+		res, err := Check(spec, o)
+		assertMatchesReference(t, fmt.Sprintf("%s/budget=%d", label, budget), spec, res, err)
+		closeGraphs(t, res)
 	}
 }
 
 // TestArenaMatchesLiveRetention is the engine-level arena cross-check:
-// level-synchronized explorations with encoded retention (resident and
-// forced-to-disk) must be observationally identical to live retention —
-// counters, verdicts, and replayed counterexample traces — at several
-// worker counts, on the hand-written and randomized spec families.
+// explorations retaining states in the arena, resident and forced to disk,
+// must match the reference explorer, which retains every state as a live
+// value — counters, node keys, reconstructed states, edges, verdicts and
+// shortest counterexamples — at several worker counts, on the hand-written
+// and randomized spec families. Run bounds, which the reference does not
+// model, are checked resident against spilled.
 func TestArenaMatchesLiveRetention(t *testing.T) {
 	for _, w := range []int{1, 4} {
 		assertArenaAgrees(t, fmt.Sprintf("counter/workers=%d", w), counterSpec(12), Options{Workers: w})
@@ -169,17 +144,25 @@ func TestArenaMatchesLiveRetention(t *testing.T) {
 		},
 	})
 	assertArenaAgrees(t, "counter-violation", viol, Options{})
-	assertArenaAgrees(t, "counter-bounded", counterSpec(40), Options{MaxStates: 100, MaxDepth: 9})
 
 	for seed := int64(0); seed < 8; seed++ {
 		assertArenaAgrees(t, fmt.Sprintf("random-%d", seed), randomSpec(seed), Options{Workers: 4})
 	}
+
+	bounded := Options{MaxStates: 100, MaxDepth: 9, RecordGraph: true}
+	want, wantErr := Check(counterSpec(40), bounded)
+	bounded.MemoryBudgetBytes = 1
+	got, gotErr := Check(counterSpec(40), bounded)
+	assertResultsEqual(t, "counter-bounded/spilled", want, got, wantErr, gotErr)
+	closeGraphs(t, want, got)
 }
 
-// TestArenaSymmetryTrace pins the exact-replay property under symmetry
+// TestArenaSymmetryTrace pins exact reconstruction under symmetry
 // reduction: the arena stores plain (not orbit-canonical) encodings, so
-// the replayed counterexample is byte-identical to live retention's even
-// though the visited set dedups on orbit representatives.
+// although the visited set dedups on orbit representatives, the reported
+// counterexample is a behaviour of the spec, as short as the unreduced
+// reference's, and identical whether decoded or replayed (ForceKeyEncoding
+// drops the decoder).
 func TestArenaSymmetryTrace(t *testing.T) {
 	mk := func() *Spec[binState] {
 		spec := binSpecVisitor(20)
@@ -194,49 +177,58 @@ func TestArenaSymmetryTrace(t *testing.T) {
 		}}
 		return spec
 	}
-	want, wantErr := Check(mk(), Options{})
-	got, gotErr := Check(mk(), Options{StateArena: true})
-	if !errors.Is(wantErr, ErrInvariantViolated) || !errors.Is(gotErr, ErrInvariantViolated) {
-		t.Fatalf("verdicts: live=%v arena=%v, want violations", wantErr, gotErr)
+	ref := reference(mk()) // the reference ignores SymmetryVisitor
+	var traces [][]string
+	var acts [][]string
+	for _, opts := range []Options{{}, {ForceKeyEncoding: true, MemoryBudgetBytes: 1}} {
+		res, err := Check(mk(), opts)
+		label := fmt.Sprintf("symmetry/forcekeys=%v", opts.ForceKeyEncoding)
+		if !errors.Is(err, ErrInvariantViolated) {
+			t.Fatalf("%s: err = %v, want a violation", label, err)
+		}
+		v := res.Violation
+		if v.Invariant != ref.violated || len(v.Trace) != ref.traceLen {
+			t.Fatalf("%s: %s after %d states, reference %s after %d", label, v.Invariant, len(v.Trace), ref.violated, ref.traceLen)
+		}
+		assertTraceIsBehaviour(t, label, mk(), v)
+		traces = append(traces, traceKeys(v.Trace))
+		acts = append(acts, v.TraceActs)
 	}
-	wk, gk := traceKeys(want.Violation.Trace), traceKeys(got.Violation.Trace)
-	if !reflect.DeepEqual(gk, wk) {
-		t.Fatalf("replayed trace differs from live retention under symmetry:\n got  %v\n want %v", gk, wk)
+	if !reflect.DeepEqual(traces[1], traces[0]) || !reflect.DeepEqual(acts[1], acts[0]) {
+		t.Fatalf("replayed trace differs from the decoded one under symmetry:\n got  %v %v\n want %v %v", traces[1], acts[1], traces[0], acts[0])
 	}
-	if !reflect.DeepEqual(got.Violation.TraceActs, want.Violation.TraceActs) {
-		t.Fatalf("replayed acts differ: %v vs %v", got.Violation.TraceActs, want.Violation.TraceActs)
-	}
-	assertTraceIsBehaviour(t, "arena-symmetry", mk(), got.Violation)
 }
 
-// TestArenaGraphWithoutDecoder pins the fallback for spec states with no
-// BinaryDecoder: StateArena+RecordGraph is accepted, the graph just falls
-// back to live retention of its columns (counterState implements neither
-// BinaryState nor BinaryDecoder) and matches a plain RecordGraph run —
-// while checkpointing, which cannot persist live values, rejects the
-// combination with a precise error.
+// TestArenaGraphWithoutDecoder pins graphs of spec states without a
+// BinaryDecoder. counterState implements neither BinaryState nor
+// BinaryDecoder, so the arena stores Key() bytes: KeyAt serves them
+// directly and StateAt replays the parent chain. Resident and spilled, the
+// graph matches the reference explorer, and a checkpointed graph run
+// resumes to the uninterrupted run's DOT.
 func TestArenaGraphWithoutDecoder(t *testing.T) {
-	want, err := Check(counterSpec(3), Options{RecordGraph: true})
-	if err != nil {
-		t.Fatalf("live: %v", err)
-	}
-	got, err := Check(counterSpec(3), Options{StateArena: true, RecordGraph: true})
-	if err != nil {
-		t.Fatalf("StateArena+RecordGraph = %v, want fallback to a live graph", err)
-	}
-	if got.Graph == nil || got.Graph.Len() != want.Graph.Len() || got.Graph.NumEdges() != want.Graph.NumEdges() {
-		t.Fatalf("fallback graph = %v, want %d nodes %d edges", got.Graph, want.Graph.Len(), want.Graph.NumEdges())
-	}
-	for id := 0; id < want.Graph.Len(); id++ {
-		if got.Graph.KeyAt(id) != want.Graph.KeyAt(id) {
-			t.Fatalf("node %d key = %q, want %q", id, got.Graph.KeyAt(id), want.Graph.KeyAt(id))
-		}
-	}
+	assertArenaAgrees(t, "counter", counterSpec(6), Options{Workers: 2})
 
-	_, err = Check(counterSpec(3), Options{StateArena: true, RecordGraph: true, CheckpointDir: t.TempDir()})
-	if !errors.Is(err, ErrInvalidOptions) {
-		t.Fatalf("checkpointing graph without a decoder = %v, want ErrInvalidOptions", err)
+	const max = 20
+	oracle, err := Check(counterSpec(max), Options{RecordGraph: true})
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
 	}
+	wantDOT := dotBytes(t, oracle.Graph, "Counter")
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	partial, err := Check(cancelAfter(counterSpec(max), cancel, 50), Options{RecordGraph: true, Context: ctx, CheckpointDir: dir})
+	if !errors.Is(err, ErrInterrupted) || partial.CheckpointPath != dir {
+		t.Fatalf("err = %v, CheckpointPath = %q, want an interrupted run checkpointed to %q", err, partial.CheckpointPath, dir)
+	}
+	res, err := Check(counterSpec(max), Options{RecordGraph: true, ResumeFrom: dir})
+	if err != nil {
+		t.Fatalf("resume: %v", err)
+	}
+	if gotDOT := dotBytes(t, res.Graph, "Counter"); !bytes.Equal(gotDOT, wantDOT) {
+		t.Fatal("resumed graph without a decoder differs from the uninterrupted run's")
+	}
+	closeGraphs(t, oracle, res)
 }
 
 // assertTraceIsBehaviour replays a reported counterexample against the

@@ -28,10 +28,9 @@ type BinaryState interface {
 // can reconstruct a state value from an encoding AppendBinary produced.
 // When a specification's state type implements it (alongside BinaryState),
 // the retained-state arena reconstructs states directly from their stored
-// encodings — counterexamples, checkpoint resume, and the arena-backed
-// state graph all decode instead of replaying the action sequence — and
-// Options.StateArena composes with Options.RecordGraph (see Graph).
-// Specs without a decoder keep the replay-based reconstruction.
+// encodings — counterexamples, checkpoint resume, and the recorded state
+// graph all decode instead of replaying the action sequence. Specs without
+// a decoder keep the replay-based reconstruction.
 //
 // The contract mirrors BinaryState's: for every state s of the
 // specification, DecodeBinary(s.AppendBinary(nil)) must return a state

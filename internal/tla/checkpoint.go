@@ -2,7 +2,6 @@ package tla
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -167,15 +166,8 @@ func (o Options) Fingerprint() uint64 { return optionsFingerprint(o) }
 // writeCheckpoint seals the run's state at a level boundary into ck's
 // directory as a fresh generation. On any failure this generation's files
 // are removed and the previous checkpoint stays valid.
-func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs VisitedStore, res *Result[S], frontier []int, level int) (string, error) {
+func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret *retainer[S], vs visitedStore, res *Result[S], frontier []int, level int) (string, error) {
 	a := ret.arena
-	if a == nil {
-		return "", errors.New("tla: checkpoint requires the state arena")
-	}
-	cv, ok := vs.(checkpointVisited)
-	if !ok {
-		return "", fmt.Errorf("tla: visited store %T cannot be checkpointed", vs)
-	}
 	fsys := ck.fsys
 	if err := ck.em.retry("checkpoint", func() error { return fsys.MkdirAll(ck.dir) }); err != nil {
 		return "", err
@@ -211,7 +203,7 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		files = append(files, edgesName)
 	}
 
-	runs, err := cv.snapshotRuns(fsys, ck.dir, prefix)
+	runs, err := vs.snapshotRuns(fsys, ck.dir, prefix)
 	if err != nil {
 		cleanup()
 		return "", err
@@ -239,7 +231,7 @@ func writeCheckpoint[S State](ck *checkpointer, spec *Spec[S], opts Options, ret
 		Depth:          res.Depth,
 		Terminal:       res.Terminal,
 		ConstraintCuts: res.ConstraintCuts,
-		Degraded:       res.DegradedMemory || ret.degradedMemory(),
+		Degraded:       res.DegradedMemory || a.degradedMemory(),
 		Frontier:       append([]int(nil), frontier...),
 		Actions:        append([]string(nil), ret.acts...),
 		SegSizes:       segSizes,
@@ -542,97 +534,17 @@ func copyIntoSpill(a *stateArena, fsys FS, dir, name string, dstOff, length int6
 }
 
 // reconstructStates rebuilds the live S values of the checkpointed
-// frontier. With a bound decoder each state is decoded straight from its
-// stored encoding — no parent chain, no replay. Otherwise it falls back to
-// memoized parent-chain replay: a state's parent is reconstructed first
-// (cache-hit for shared ancestors), the recorded action is re-executed,
-// and the successor whose plain encoding matches the stored bytes is the
-// state — exact, because encodings identify states by contract. Runs spec
+// frontier from the restored arena — decoded, or replayed with the
+// ancestors memoized across the frontier (see retainer.state). Runs spec
 // callbacks; the caller brackets it with a guard.
 func reconstructStates[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], ids []int) (map[int]S, error) {
 	cache := make(map[int]S, len(ids))
-	if cod.dec != nil {
-		var enc []byte
-		for _, id := range ids {
-			if id < 0 || id >= len(ret.arena.meta) {
-				return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, len(ret.arena.meta))
-			}
-			var err error
-			enc, err = ret.arena.encoding(id, enc[:0])
-			if err != nil {
-				return nil, err
-			}
-			s, err := cod.dec(enc)
-			if err != nil {
-				return nil, fmt.Errorf("%w: decoding state %d: %v", ErrBadCheckpoint, id, err)
-			}
-			cache[id] = s
-		}
-		return cache, nil
-	}
-	var target, cand []byte
-	var rec func(id int) (S, error)
-	rec = func(id int) (S, error) {
-		var zero S
-		if s, ok := cache[id]; ok {
-			return s, nil
-		}
-		if id < 0 || id >= len(ret.arena.meta) {
-			return zero, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, len(ret.arena.meta))
-		}
-		m := ret.arena.meta[id]
-		var parent S
-		if m.parent >= 0 {
-			// Recurse before touching the shared scratch buffers.
-			p, err := rec(int(m.parent))
-			if err != nil {
-				return zero, err
-			}
-			parent = p
-		}
-		var err error
-		target, err = ret.arena.encoding(id, target[:0])
-		if err != nil {
-			return zero, err
-		}
-		var cur S
-		found := false
-		if m.parent < 0 {
-			for _, s := range spec.Init() {
-				if cand = cod.encode(s, cand[:0]); bytes.Equal(cand, target) {
-					cur, found = s, true
-					break
-				}
-			}
-		} else {
-			if int(m.act) >= len(ret.acts) {
-				return zero, fmt.Errorf("%w: state %d records unknown action index %d", ErrBadCheckpoint, id, m.act)
-			}
-			actName := ret.acts[m.act]
-			for _, a := range spec.Actions {
-				if a.Name != actName {
-					continue
-				}
-				for _, succ := range a.Next(parent) {
-					if cand = cod.encode(succ, cand[:0]); bytes.Equal(cand, target) {
-						cur, found = succ, true
-						break
-					}
-				}
-				if found {
-					break
-				}
-			}
-		}
-		if !found {
-			return zero, fmt.Errorf("%w: no state matches the stored encoding of state %d (spec changed since the checkpoint?)", ErrBadCheckpoint, id)
-		}
-		cache[id] = cur
-		return cur, nil
-	}
 	for _, id := range ids {
-		if _, err := rec(id); err != nil {
-			return nil, err
+		if id < 0 || id >= ret.len() {
+			return nil, fmt.Errorf("%w: frontier references state %d of %d", ErrBadCheckpoint, id, ret.len())
+		}
+		if _, err := ret.state(spec, cod, id, cache); err != nil {
+			return nil, fmt.Errorf("%w: reconstructing state %d (spec changed since the checkpoint?): %w", ErrBadCheckpoint, id, err)
 		}
 	}
 	return cache, nil
@@ -642,7 +554,7 @@ func reconstructStates[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], 
 // against the spec and options, seeds the counters, arena and visited
 // store, and re-enqueues the frontier with reconstructed live values.
 // Returns the BFS level the resumed loop continues from.
-func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs VisitedStore, fr FrontierStore, res *Result[S], ck *checkpointer) (int, error) {
+func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retainer[S], vs visitedStore, fr *levelFrontier[S], res *Result[S], ck *checkpointer) (int, error) {
 	fsys := resolveFS(opts.FS)
 	dir := opts.ResumeFrom
 	m, err := readManifest(fsys, dir)
@@ -664,12 +576,8 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 			return 0, fmt.Errorf("%w: action table mismatch at %d: %q vs %q", ErrBadCheckpoint, i, name, ret.acts[i])
 		}
 	}
-	cv, ok := vs.(checkpointVisited)
-	if !ok {
-		return 0, fmt.Errorf("tla: visited store %T cannot adopt a checkpoint", vs)
-	}
 	if ret.arena.recordEdges && m.EdgesFile == "" {
-		return 0, fmt.Errorf("%w: checkpoint predates arena edge recording, so RecordGraph cannot be served from it; resume without RecordGraph, or re-run the checkpointing run with it", ErrBadCheckpoint)
+		return 0, fmt.Errorf("%w: checkpoint holds no graph edges (written without RecordGraph), so RecordGraph cannot be served from it; resume without RecordGraph, or re-run the checkpointing run with it", ErrBadCheckpoint)
 	}
 	res.Transitions = m.Transitions
 	res.Depth = m.Depth
@@ -681,7 +589,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 	if err := restoreArena(ret.arena, fsys, dir, m); err != nil {
 		return 0, err
 	}
-	if err := cv.adoptRuns(fsys, dir, m.VisitedRuns); err != nil {
+	if err := vs.adoptRuns(fsys, dir, m.VisitedRuns); err != nil {
 		return 0, err
 	}
 	// Rebind the decoder to a real initial state before reconstruction (see
@@ -695,8 +603,7 @@ func resumeRun[S State](spec *Spec[S], opts Options, cod *codec[S], ret *retaine
 		return 0, err
 	}
 	for _, id := range m.Frontier {
-		ret.retainLive(id, states[id])
-		fr.Push(id)
+		fr.Push(id, states[id])
 	}
 	if ck != nil && ck.dir == dir {
 		// Continuing to checkpoint into the same directory: pick up the

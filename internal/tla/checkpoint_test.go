@@ -20,7 +20,7 @@ import (
 // ckOpts is the option set the checkpoint tests share: parallel, disk-backed
 // stores under a tiny budget, arena retention.
 func ckOpts() Options {
-	return Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true}
+	return Options{Workers: 4, MemoryBudgetBytes: 1}
 }
 
 // interruptedCheckpoint runs spec-with-cancel-after-n into dir and returns
@@ -322,14 +322,14 @@ func TestCheckpointSequentialWorker(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := cancelingSpec(counterSpec(max), cancel, 80)
-	res, err := Check(spec, Options{Workers: 1, StateArena: true, CheckpointDir: dir, Context: ctx})
+	res, err := Check(spec, Options{Workers: 1, CheckpointDir: dir, Context: ctx})
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("err = %v, want an interrupted run", err)
 	}
 	if res.CheckpointPath != dir {
 		t.Fatalf("no checkpoint written: %+v", res)
 	}
-	rres, err := Check(counterSpec(max), Options{Workers: 1, StateArena: true, ResumeFrom: dir})
+	rres, err := Check(counterSpec(max), Options{Workers: 1, ResumeFrom: dir})
 	if err != nil {
 		t.Fatalf("resume: %v", err)
 	}

@@ -2,6 +2,7 @@ package tla
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -16,8 +17,8 @@ import (
 // preserving the paper's TLC → DOT file → Golang generator boundary.
 //
 // Edges are emitted in deterministic (From, To, Action) order, so the same
-// exploration yields byte-identical output whether the graph is live or
-// arena-backed, resident or spilled.
+// exploration yields byte-identical output whether the graph's arena is
+// resident or spilled.
 func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "strict digraph %s {\n", dotID(name))
@@ -40,56 +41,38 @@ func (g *Graph[S]) WriteDOT(w io.Writer, name string) error {
 	return bw.Flush()
 }
 
-// writeDOTEdges emits the edges in (From, To, Action) order. An
-// arena-backed graph whose edges were recorded with nondecreasing From
-// (the default frontier: ids ascend across levels) streams one From-block
-// at a time — sorting each contiguous block by (To, Action) is exactly the
-// global order, without ever materializing the full edge list. Otherwise —
-// live graphs, or arena graphs expanded in a caller-supplied frontier
-// order — the list is materialized and sorted whole.
+// writeDOTEdges emits the edges in (From, To, Action) order. The BFS merge
+// records edges with nondecreasing From (ids ascend across levels), so the
+// renderer streams one From-block at a time — sorting each contiguous
+// block by (To, Action) is exactly the global order, without ever
+// materializing the full edge list.
 func (g *Graph[S]) writeDOTEdges(bw *bufio.Writer) error {
-	less := func(edges []Edge, i, j int) bool {
-		if edges[i].From != edges[j].From {
-			return edges[i].From < edges[j].From
-		}
-		if edges[i].To != edges[j].To {
-			return edges[i].To < edges[j].To
-		}
-		return edges[i].Action < edges[j].Action
+	if !g.ret.arena.edgesMono {
+		return errors.New("tla: engine bug: graph edges were recorded out of source order")
 	}
-	emit := func(edges []Edge) {
-		for _, e := range edges {
+	var block []Edge
+	emit := func() {
+		sort.Slice(block, func(i, j int) bool {
+			if block[i].To != block[j].To {
+				return block[i].To < block[j].To
+			}
+			return block[i].Action < block[j].Action
+		})
+		for _, e := range block {
 			fmt.Fprintf(bw, "  %d -> %d [label=%s];\n", e.From, e.To, strconv.Quote(e.Action))
 		}
+		block = block[:0]
 	}
-	if g.ret != nil && g.ret.arena.edgesMono {
-		var block []Edge
-		cur := -1
-		if err := g.ForEachEdge(func(e Edge) error {
-			if e.From != cur && len(block) > 0 {
-				sort.Slice(block, func(i, j int) bool { return less(block, i, j) })
-				emit(block)
-				block = block[:0]
-			}
-			cur = e.From
-			block = append(block, e)
-			return nil
-		}); err != nil {
-			return err
-		}
-		sort.Slice(block, func(i, j int) bool { return less(block, i, j) })
-		emit(block)
-		return nil
-	}
-	edges := make([]Edge, 0, g.NumEdges())
 	if err := g.ForEachEdge(func(e Edge) error {
-		edges = append(edges, e)
+		if len(block) > 0 && e.From != block[0].From {
+			emit()
+		}
+		block = append(block, e)
 		return nil
 	}); err != nil {
 		return err
 	}
-	sort.Slice(edges, func(i, j int) bool { return less(edges, i, j) })
-	emit(edges)
+	emit()
 	return nil
 }
 

@@ -10,9 +10,9 @@ import (
 )
 
 // The exploration engine is a level-synchronized BFS in the style of TLC's
-// multi-worker mode, parameterized by a VisitedStore (deduplication) and a
-// FrontierStore (pending work) — see store.go. Each level alternates two
-// phases:
+// multi-worker mode, over a visited store (deduplication), the
+// level-synchronized frontier (pending work) — see store.go — and the
+// state arena (retention; arena.go). Each level alternates two phases:
 //
 //   - Expansion (parallel): the frontier is cut into contiguous chunks and
 //     a pool of workers expands them, computing every successor's canonical
@@ -32,8 +32,8 @@ import (
 // EndLevel enforces memory budgets. Because ids, invariant checks and
 // early exits are all resolved during the deterministic merge, the
 // engine's Result — counters, recorded graph, and shortest counterexample
-// — is identical at every worker count and under every store (modulo
-// fingerprint collisions, which Options.CollisionFree rules out).
+// — is identical at every worker count and under every visited store
+// (modulo fingerprint collisions, which Options.CollisionFree rules out).
 
 // candidate is one successor produced during expansion, awaiting the merge:
 // the action's index in Spec.Actions, the claimed visited entry, and the
@@ -141,11 +141,8 @@ func (p chunkPlan) run(fn func(worker, chunk, lo, hi int)) {
 
 // runEngine is the unified level-synchronized exploration loop behind
 // Check: one implementation for every worker count and store combination.
-func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStore, fr FrontierStore, em *engineMetrics) (res *Result[S], err error) {
+func runEngine[S State](spec *Spec[S], opts Options, workers int, vs visitedStore, em *engineMetrics) (res *Result[S], err error) {
 	res = &Result[S]{Spec: spec.Name}
-	if opts.RecordGraph {
-		res.Graph = &Graph[S]{}
-	}
 
 	cod := newCodec(spec, opts.ForceKeyEncoding)
 	// Per-worker codec clones persist across BFS levels: scratch buffers
@@ -157,6 +154,13 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		wcods[w] = cod.clone()
 	}
 	ret := newRetainer(spec, opts, em)
+	fr := &levelFrontier[S]{}
+	if opts.RecordGraph {
+		// The graph is served from the arena (spilling under the budget
+		// with everything else) and owns its spill file from here on.
+		res.Graph = &Graph[S]{spec: spec, ret: ret, cod: cod}
+		ret.graphOwned = true
+	}
 
 	// Partial-order reduction resolves here: the run must ask and the spec
 	// must declare. Result.PartialOrder reports the resolution so CLIs can
@@ -169,24 +173,6 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		for i := range porScr {
 			porScr[i].planner = newPORPlanner(ind, em)
 		}
-	}
-
-	// A checkpointed graph must be arena-backed: live graph columns are not
-	// persisted, so a resumed run could never rebuild them without a
-	// decoder. Validate cannot see S, so the check lives here.
-	if opts.checkpointing() && opts.RecordGraph && cod.dec == nil {
-		return res, fmt.Errorf("%w: RecordGraph with checkpoint/resume needs the arena-backed graph, which requires the spec state to implement BinaryDecoder (and not ForceKeyEncoding)", ErrInvalidOptions)
-	}
-	// Arena-backed graph: with a decoder available, graph states and edges
-	// live in the arena (spilling under the budget with everything else)
-	// and Result.Graph serves them lazily. Without a decoder the graph
-	// falls back to live retention of its columns — correct, but resident.
-	arenaGraph := opts.RecordGraph && ret.arena != nil && cod.dec != nil
-	if arenaGraph {
-		ret.arena.recordEdges = true
-		ret.graphOwned = true
-		res.Graph.ret = ret
-		res.Graph.cod = cod
 	}
 
 	// ctl is the run's shared stop flag and first-panic slot; mg guards the
@@ -202,7 +188,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	// merge-goroutine spec panic into the structured verdict (expansion
 	// panics are parked in ctl and handled inline); (3) resolve arena
 	// ownership — a run that failed without a violation discards its
-	// arena-backed graph so the spill file is not leaked behind a result
+	// graph so the arena's spill file is not leaked behind a result
 	// nobody will traverse (a violation keeps the graph: callers dump it
 	// alongside the counterexample); (4) release the retainer's spill file
 	// — after (2), whose trace reconstruction may still read it, and
@@ -210,7 +196,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	defer st.close()
 	defer ret.close()
 	defer func() {
-		if arenaGraph && err != nil && res.Violation == nil {
+		if res.Graph != nil && err != nil && res.Violation == nil {
 			ret.graphOwned = false
 			res.Graph = nil
 		}
@@ -247,7 +233,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		if d, ok := vs.(interface{ degradedMemory() bool }); ok && d.degradedMemory() {
 			res.DegradedMemory = true
 		}
-		if ret.degradedMemory() {
+		if ret.arena.degradedMemory() {
 			res.DegradedMemory = true
 		}
 	}()
@@ -286,7 +272,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		return res, ierr
 	}
 
-	var arenaEnc []byte // addState's plain-encoding scratch (arena mode)
+	var arenaEnc []byte // addState's plain-encoding scratch
 
 	// levelBase/levelCut support the POR cycle proviso: levelBase is the id
 	// watermark when the current level's merge began, and levelCut[id -
@@ -297,34 +283,26 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	var levelCut []bool
 
 	// addState installs a newly discovered state (entry.ID must be -1):
-	// id assignment, retention (live values, or arena encodings under
-	// Options.StateArena), depth and graph bookkeeping, invariant checks,
-	// constraint and depth bounds. Runs on the merge goroutine only.
+	// id assignment, retention in the arena, depth bookkeeping, invariant
+	// checks, constraint and depth bounds. Runs on the merge goroutine
+	// only.
 	addState := func(s S, e *VisitedEntry, parent int, act string, depth int) (*Violation[S], error) {
 		id := ret.len()
 		if opts.MaxStates > 0 && id >= opts.MaxStates {
 			return nil, ErrStateLimit
 		}
 		e.ID = id
-		var enc []byte
-		if ret.arena != nil {
-			// The arena stores the plain encoding (one AppendBinary here
-			// on the merge goroutine — not canonical, whose orbit scan the
-			// workers already paid for deduplication).
-			mg.enter(opEncode, act, id)
-			arenaEnc = cod.encode(s, arenaEnc[:0])
-			mg.exit()
-			enc = arenaEnc
-		}
-		if err := ret.add(s, enc, parent, act, depth); err != nil {
+		// The arena stores the plain encoding (one AppendBinary here on the
+		// merge goroutine — not canonical, whose orbit scan the workers
+		// already paid for deduplication).
+		mg.enter(opEncode, act, id)
+		arenaEnc = cod.encode(s, arenaEnc[:0])
+		mg.exit()
+		if err := ret.add(arenaEnc, parent, act, depth); err != nil {
 			return nil, err
 		}
 		if depth > res.Depth {
 			res.Depth = depth
-		}
-		if res.Graph != nil && !arenaGraph {
-			res.Graph.States = append(res.Graph.States, s)
-			res.Graph.Keys = append(res.Graph.Keys, s.Key())
 		}
 		for _, inv := range spec.Invariants {
 			mg.enter(opInvariant, inv.Name, id)
@@ -346,8 +324,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		}
 		pushed := withinConstraint && (opts.MaxDepth == 0 || depth < opts.MaxDepth)
 		if pushed {
-			ret.retainLive(id, s)
-			fr.Push(id)
+			fr.Push(id, s)
 		}
 		if ind != nil {
 			levelCut = append(levelCut, !pushed)
@@ -359,9 +336,9 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 	if opts.ResumeFrom != "" {
 		// A resumed run restores the checkpoint instead of registering
 		// initial states: counters, arena, visited runs, and the frontier's
-		// live values (reconstructed by parent-chain replay, which runs
-		// spec callbacks — the guard attributes a panic there to the
-		// replay).
+		// live values (reconstructed by decode or parent-chain replay; the
+		// replay runs spec callbacks, and the guard attributes a panic
+		// there to it).
 		mg.enter(opNext, "(resume replay)", -1)
 		lvl, rerr := resumeRun(spec, opts, cod, ret, vs, fr, res, ck)
 		mg.exit()
@@ -455,10 +432,8 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		if rb, ok := vs.(interface{ residentBytes() int64 }); ok {
 			p.ResidentBytes += rb.residentBytes()
 		}
-		if ret.arena != nil {
-			p.SpillBytes += ret.arena.fileSize
-			p.ResidentBytes += ret.arena.residentBytes()
-		}
+		p.SpillBytes += ret.arena.fileSize
+		p.ResidentBytes += ret.arena.residentBytes()
 		em.journalLevel(p)
 		if opts.ProgressEvery > 0 {
 			snap.Store(&p)
@@ -467,7 +442,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 		}
 	}
 	for {
-		frontier := fr.NextLevel()
+		frontier, states := fr.NextLevel()
 		report(frontier, level)
 		if st.stopped() {
 			return interrupted(frontier, level)
@@ -485,7 +460,7 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 			}
 			res.CheckpointPath = path
 		}
-		outs := expandFrontier(spec, wcods, ret, frontier, vs, &pool, &ctl, porScr, em)
+		outs := expandFrontier(spec, wcods, frontier, states, vs, &pool, &ctl, porScr, em)
 		if pi := ctl.takePanic(); pi != nil {
 			return res, specPanicError(spec, cod, ret, pi)
 		}
@@ -521,12 +496,8 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 				sid = c.entry.ID
 			}
 			if res.Graph != nil {
-				if arenaGraph {
-					if aerr := ret.addEdge(id, act, sid); aerr != nil {
-						return nil, aerr
-					}
-				} else {
-					res.Graph.Edges = append(res.Graph.Edges, Edge{From: id, Action: act, To: sid})
+				if aerr := ret.addEdge(id, act, sid); aerr != nil {
+					return nil, aerr
 				}
 			}
 			return viol, nil
@@ -607,9 +578,6 @@ func runEngine[S State](spec *Spec[S], opts Options, workers int, vs VisitedStor
 			emFlush()
 		}
 		pool.free(outs)
-		// The level's frontier states are fully expanded: the arena drops
-		// their live values (live retention keeps everything by design).
-		ret.releaseAll(frontier)
 		if err := vs.EndLevel(); err != nil {
 			return res, err
 		}
@@ -653,8 +621,8 @@ func (p *chunkPool[S]) seed(outs []chunkOut[S]) {
 // free reclaims the level's buffers after the merge replayed them. The
 // candidate and state slots are zeroed first: a recycled backing array
 // must not pin the previous level's visited entries (which the spilling
-// store drops when it seals a shard) or successor states (new states live
-// on in the retainer regardless, but spill-revived duplicates would
+// store drops when it seals a shard) or successor states (pushed states
+// live on in the frontier until expanded, but every other successor would
 // otherwise stay reachable until overwritten).
 func (p *chunkPool[S]) free(outs []chunkOut[S]) {
 	for i := range outs {
@@ -709,7 +677,7 @@ func (p *chunkPool[S]) free(outs []chunkOut[S]) {
 // counts just like everything else on this path. Because a skipped
 // deferred candidate may be the first of its entry, this path keeps the
 // state of every candidate whose entry is unassigned.
-func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S], frontier []int, vs VisitedStore, pool *chunkPool[S], ctl *runControl, porScr []porScratch[S], em *engineMetrics) []chunkOut[S] {
+func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], frontier []int, states []S, vs visitedStore, pool *chunkPool[S], ctl *runControl, porScr []porScratch[S], em *engineMetrics) []chunkOut[S] {
 	plan := planChunks(len(frontier), len(wcods))
 	outs := make([]chunkOut[S], plan.nChunks)
 	pool.seed(outs)
@@ -733,11 +701,11 @@ func expandFrontier[S State](spec *Spec[S], wcods []*codec[S], ret *retainer[S],
 			}
 			out.cands = append(out.cands, cd)
 		}
-		for _, id := range frontier[lo:hi] {
+		for i, id := range frontier[lo:hi] {
 			if ctl.stop.Load() {
 				break
 			}
-			s := ret.stateOf(id)
+			s := states[lo+i]
 			before := len(out.cands)
 			if porScr == nil {
 				for ai, a := range spec.Actions {

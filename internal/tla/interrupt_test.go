@@ -93,7 +93,7 @@ func TestDeadlineInterrupts(t *testing.T) {
 func TestInterruptUnderSpillAndArena(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	spec := cancelingSpec(unboundedSpec(), cancel, 2000)
-	res, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true, Context: ctx})
+	res, err := Check(spec, Options{Workers: 4, MemoryBudgetBytes: 1, Context: ctx})
 	cancel()
 	assertInterrupted(t, "spill+arena", res, err)
 	if res.Distinct == 0 {
@@ -157,12 +157,9 @@ func TestOptionsValidateRobustness(t *testing.T) {
 	bad := []Options{
 		{Deadline: past},
 		{CheckpointEvery: -1},
-		{CheckpointEvery: 3},  // no CheckpointDir
-		{CheckpointDir: "ck"}, // no StateArena
-		{ResumeFrom: "ck"},    // no StateArena
-		{CheckpointDir: "ck", StateArena: true, CollisionFree: true},           // no fingerprints to persist
-		{CheckpointDir: "ck", StateArena: true, Visited: newMemVisited(false)}, // plugged store
-		{ResumeFrom: "ck", StateArena: true, Frontier: newLevelFrontier()},
+		{CheckpointEvery: 3},                       // no CheckpointDir
+		{CheckpointDir: "ck", CollisionFree: true}, // no fingerprints to persist
+		{ResumeFrom: "ck", CollisionFree: true},
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -175,8 +172,8 @@ func TestOptionsValidateRobustness(t *testing.T) {
 	good := []Options{
 		{Deadline: time.Now().Add(time.Hour)},
 		{Context: context.Background()},
-		{CheckpointDir: t.TempDir(), StateArena: true},
-		{CheckpointDir: t.TempDir(), StateArena: true, CheckpointEvery: 5, MemoryBudgetBytes: 1},
+		{CheckpointDir: t.TempDir()},
+		{CheckpointDir: t.TempDir(), CheckpointEvery: 5, MemoryBudgetBytes: 1},
 	}
 	for _, opts := range good {
 		if err := opts.Validate(); err != nil {

@@ -143,9 +143,9 @@ func (c *runControl) takePanic() *panicInfo {
 }
 
 // safeTrace rebuilds the trace to state id, converting a panic raised
-// during the reconstruction into an error. Arena-mode traces replay spec
-// actions (arena.go), so a deterministic panic in Next would otherwise
-// re-fire while reporting the very failure it caused.
+// during the reconstruction into an error. Without a BinaryDecoder traces
+// replay spec actions (arena.go), so a deterministic panic in Next would
+// otherwise re-fire while reporting the very failure it caused.
 func safeTrace[S State](spec *Spec[S], cod *codec[S], ret *retainer[S], id int) (trace []S, acts []string, err error) {
 	defer func() {
 		if r := recover(); r != nil {

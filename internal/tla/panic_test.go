@@ -50,16 +50,17 @@ func assertSpecPanic(t *testing.T, label string, err error, opWant string) *Spec
 	return sp
 }
 
-// TestSpecPanicInNext pins the contract at several worker counts, with and
-// without the arena: a panicking Next yields a structured ErrSpecPanic
-// carrying a non-empty decoded trace to the state being expanded — not a
-// crashed process — and the partial Result survives with no Violation.
+// TestSpecPanicInNext pins the contract at several worker counts, with the
+// arena resident and spilled: a panicking Next yields a structured
+// ErrSpecPanic carrying a non-empty replayed trace to the state being
+// expanded — not a crashed process — and the partial Result survives with
+// no Violation.
 func TestSpecPanicInNext(t *testing.T) {
 	at := counterState{A: 3, B: 1} // depth 4: a real trace to decode
 	for _, workers := range []int{1, 4} {
-		for _, arena := range []bool{false, true} {
-			label := fmt.Sprintf("workers=%d/arena=%v", workers, arena)
-			res, err := Check(explodingSpec(8, at), Options{Workers: workers, StateArena: arena})
+		for _, budget := range []int64{0, 1} {
+			label := fmt.Sprintf("workers=%d/budget=%d", workers, budget)
+			res, err := Check(explodingSpec(8, at), Options{Workers: workers, MemoryBudgetBytes: budget})
 			sp := assertSpecPanic(t, label, err, `action "Explode"`)
 			if len(sp.Trace) == 0 {
 				t.Fatalf("%s: recovered panic has an empty trace", label)
@@ -180,7 +181,7 @@ func TestSpecPanicInEncoding(t *testing.T) {
 // state; the store's Close still runs and removes its directory).
 func TestSpecPanicUnderSpillStore(t *testing.T) {
 	_, err := Check(explodingSpec(10, counterState{A: 4, B: 2}),
-		Options{Workers: 4, MemoryBudgetBytes: 1, StateArena: true})
+		Options{Workers: 4, MemoryBudgetBytes: 1})
 	sp := assertSpecPanic(t, "spill", err, `action "Explode"`)
 	if len(sp.Trace) == 0 {
 		t.Fatal("empty trace under the spilling store")

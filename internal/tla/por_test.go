@@ -243,18 +243,14 @@ func TestPORWithoutDeclarationIsNoOp(t *testing.T) {
 	}
 }
 
-// TestPORValidate pins the option combinations POR rejects up front: the
-// cycle proviso is implemented against the built-in claim-then-assign
-// visited protocol (plugged stores can't honor it), and MaxDepth would cut
-// a different state set than the unpruned run once deferral moves
-// interleavings to other depths.
+// TestPORValidate pins the option combination POR rejects up front:
+// MaxDepth would cut a different state set than the unpruned run once
+// deferral moves interleavings to other depths.
 func TestPORValidate(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		opts Options
 	}{
-		{"plugged visited", Options{PartialOrder: true, Visited: newMemVisited(false)}},
-		{"plugged frontier", Options{PartialOrder: true, Frontier: newLevelFrontier()}},
 		{"max depth", Options{PartialOrder: true, MaxDepth: 3}},
 	} {
 		if err := tc.opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -266,7 +262,7 @@ func TestPORValidate(t *testing.T) {
 		{PartialOrder: true},
 		{PartialOrder: true, MemoryBudgetBytes: 1 << 20},
 		{PartialOrder: true, CollisionFree: true},
-		{PartialOrder: true, StateArena: true},
+		{PartialOrder: true, RecordGraph: true},
 	} {
 		if err := opts.Validate(); err != nil {
 			t.Fatalf("Validate(%+v) = %v, want nil", opts, err)

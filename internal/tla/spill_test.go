@@ -4,7 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 // TestOptionsValidate pins the named-error contract: nonsensical options
@@ -17,8 +20,6 @@ func TestOptionsValidate(t *testing.T) {
 		{MaxDepth: -2},
 		{MemoryBudgetBytes: -1},
 		{MemoryBudgetBytes: 1 << 20, CollisionFree: true},
-		{MemoryBudgetBytes: 1 << 20, Visited: newMemVisited(false)},
-		{CollisionFree: true, Visited: newMemVisited(true)},
 	}
 	for _, opts := range bad {
 		if err := opts.Validate(); !errors.Is(err, ErrInvalidOptions) {
@@ -33,9 +34,6 @@ func TestOptionsValidate(t *testing.T) {
 		{Workers: 0, MaxStates: 0, MaxDepth: 0},
 		{Workers: 4, CollisionFree: true},
 		{MemoryBudgetBytes: 1},
-		{Visited: newMemVisited(true)},
-		{StateArena: true},
-		{StateArena: true, MemoryBudgetBytes: 1},
 	}
 	for _, opts := range good {
 		if err := opts.Validate(); err != nil {
@@ -90,31 +88,22 @@ func TestSpillMatchesMemoryStore(t *testing.T) {
 	}
 }
 
-// TestSpillStoreSealsAndRevives drives the spilling store through the
-// plugged-in Options.Visited seam and inspects it directly: a forced-spill
-// exploration must actually seal runs on disk, reproduce the resident
-// result exactly, and remove its spill directory on Close.
+// TestSpillStoreSealsAndRevives drives the spilling store through a
+// one-byte budget and reads the run's metrics: a forced-spill exploration
+// must actually seal runs on disk and merge-join later levels against
+// them, while reproducing the resident result exactly.
 func TestSpillStoreSealsAndRevives(t *testing.T) {
-	st := newSpillVisited(1, nil, nil)
+	reg := obs.NewRegistry()
 	want, wantErr := Check(counterSpec(15), Options{RecordGraph: true, Workers: 2})
-	got, gotErr := Check(counterSpec(15), Options{RecordGraph: true, Workers: 2, Visited: st})
-	assertResultsEqual(t, "plugged-spill", want, got, wantErr, gotErr)
-	if len(st.runs) == 0 {
+	got, gotErr := Check(counterSpec(15), Options{RecordGraph: true, Workers: 2, MemoryBudgetBytes: 1, Metrics: reg})
+	assertResultsEqual(t, "spill", want, got, wantErr, gotErr)
+	if n := reg.Counter("tla_spill_run_seals_total").Value(); n == 0 {
 		t.Fatal("one-byte budget explored the space without sealing a single run — the spill path never engaged")
 	}
-	dir := st.dir
-	if dir == "" {
-		t.Fatal("runs sealed but no spill directory recorded")
+	if n := reg.Counter("tla_spill_merge_joins_total").Value(); n == 0 {
+		t.Fatal("runs sealed but no level merge-joined against them — no spilled fingerprint was ever revived")
 	}
-	if _, err := os.Stat(dir); err != nil {
-		t.Fatalf("spill directory missing before Close: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(dir); !os.IsNotExist(err) {
-		t.Fatalf("spill directory survived Close: stat err = %v", err)
-	}
+	closeGraphs(t, want, got)
 }
 
 // TestSpillStoreProtocol exercises the store's claim/resolve/seal cycle
@@ -224,44 +213,26 @@ func TestSpillRunCompaction(t *testing.T) {
 	}
 }
 
-// countingFrontier wraps the default frontier to prove the FrontierStore
-// seam carries the whole exploration when plugged in via Options.Frontier.
-type countingFrontier struct {
-	levelFrontier
-	pushes, levels int
-}
-
-func (f *countingFrontier) Push(id int) { f.pushes++; f.levelFrontier.Push(id) }
-func (f *countingFrontier) NextLevel() []int {
-	f.levels++
-	return f.levelFrontier.NextLevel()
-}
-
-func TestCustomFrontierStore(t *testing.T) {
-	fr := &countingFrontier{}
-	want, wantErr := Check(counterSpec(10), Options{RecordGraph: true})
-	got, gotErr := Check(counterSpec(10), Options{RecordGraph: true, Frontier: fr})
-	assertResultsEqual(t, "custom-frontier", want, got, wantErr, gotErr)
-	if fr.pushes == 0 || fr.levels == 0 {
-		t.Fatalf("plugged-in frontier saw %d pushes over %d levels — the engine bypassed it", fr.pushes, fr.levels)
-	}
-}
-
 // TestLevelFrontierRecycles pins the double-buffering contract: the slice
 // handed out by NextLevel stays valid while the next level accumulates.
 func TestLevelFrontierRecycles(t *testing.T) {
-	f := newLevelFrontier()
-	f.Push(1)
-	f.Push(2)
-	level := f.NextLevel()
-	f.Push(3) // must not clobber level's backing array
-	if len(level) != 2 || level[0] != 1 || level[1] != 2 {
-		t.Fatalf("level = %v, want [1 2]", level)
+	f := &levelFrontier[counterState]{}
+	f.Push(1, counterState{A: 1})
+	f.Push(2, counterState{A: 2})
+	level, states := f.NextLevel()
+	f.Push(3, counterState{A: 3}) // must not clobber level's backing arrays
+	if !reflect.DeepEqual(level, []int{1, 2}) || !reflect.DeepEqual(states, []counterState{{A: 1}, {A: 2}}) {
+		t.Fatalf("level = %v %v, want [1 2] with their states", level, states)
 	}
-	if next := f.NextLevel(); len(next) != 1 || next[0] != 3 {
-		t.Fatalf("next level = %v, want [3]", next)
+	next, nextStates := f.NextLevel()
+	if !reflect.DeepEqual(next, []int{3}) || !reflect.DeepEqual(nextStates, []counterState{{A: 3}}) {
+		t.Fatalf("next level = %v %v, want [3] with its state", next, nextStates)
 	}
-	if empty := f.NextLevel(); len(empty) != 0 {
+	// Handing out the next level drops the expanded level's live values.
+	if states[0] != (counterState{}) || states[1] != (counterState{}) {
+		t.Fatalf("expanded level's states survived NextLevel: %v", states)
+	}
+	if empty, _ := f.NextLevel(); len(empty) != 0 {
 		t.Fatalf("drained frontier returned %v", empty)
 	}
 }

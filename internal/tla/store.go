@@ -8,14 +8,13 @@ import (
 	"sync/atomic"
 )
 
-// This file defines the two small interfaces the exploration engine is
-// parameterized by — the VisitedStore (deduplication) and the FrontierStore
-// (pending work) — together with their default implementations. The engine
-// itself (engine.go) is store-agnostic: the in-memory sharded fingerprint
-// map, the collision-free full-encoding map, and the disk-spilling store
-// (spill.go) all run under the identical expansion/merge loop, which is how
-// the sequential oracle, the parallel checker, and the bounded-memory
-// checker stay byte-for-byte comparable.
+// This file defines the visited store the exploration engine dedups
+// through, with its in-memory implementation, and the level-synchronized
+// frontier. The engine itself (engine.go) is store-agnostic: the in-memory
+// sharded fingerprint map, the collision-free full-encoding map, and the
+// disk-spilling store (spill.go) all run under the identical
+// expansion/merge loop, which is how the sequential oracle, the parallel
+// checker, and the bounded-memory checker stay byte-for-byte comparable.
 
 // VisitedEntry is a store's ticket for one canonical encoding. The engine
 // assigns ID during the deterministic merge phase; a store may persist and
@@ -54,7 +53,7 @@ func (e *VisitedEntry) keepState(c int) bool {
 	}
 }
 
-// VisitedStore is the deduplication half of the exploration engine: it maps
+// visitedStore is the deduplication half of the exploration engine: it maps
 // canonical state encodings to VisitedEntry tickets. The engine drives it
 // in level-synchronized strokes:
 //
@@ -72,41 +71,42 @@ func (e *VisitedEntry) keepState(c int) bool {
 //     over-budget shards into a sorted run).
 //   - Close releases any resources (temp files) when the run finishes.
 //
-// Options.Visited plugs in a custom implementation; the engine then never
-// calls Close on it (the caller owns its lifecycle).
-type VisitedStore interface {
+// For checkpoint/resume, snapshotRuns seals the store's dedup state into
+// sorted run files under dir (names returned relative to dir, store
+// unmodified), and adoptRuns restores a previous snapshot into a fresh
+// store.
+type visitedStore interface {
 	Claim(enc []byte) *VisitedEntry
 	ResolveLevel() error
 	EndLevel() error
 	Close() error
+	snapshotRuns(fsys FS, dir, prefix string) ([]string, error)
+	adoptRuns(fsys FS, srcDir string, names []string) error
 }
 
-// FrontierStore is the pending-work half of the level-synchronized
-// exploration engine: the discovered-but-unexpanded state ids. The engine
-// Pushes ids from the merge goroutine only, and drains one BFS level at a
-// time with NextLevel; an empty level ends the exploration. The default
-// implementation is a level-synchronized queue; the interface is the seam
-// for prioritized or instrumented frontiers (Options.Frontier).
-type FrontierStore interface {
-	Push(id int)
-	NextLevel() []int
+// levelFrontier is the pending-work half of the engine: a double-buffered
+// level-synchronized queue of discovered-but-unexpanded states, holding
+// each one's id and live value — the only live S values the engine keeps
+// (everything else is encoded in the arena). The merge goroutine Pushes;
+// NextLevel hands out the accumulated level and recycles the previously
+// handed-out slices for the next one, dropping the expanded level's live
+// values, so a steady exploration allocates no frontier storage after the
+// widest level. An empty level ends the exploration.
+type levelFrontier[S State] struct {
+	ids, nextIDs       []int
+	states, nextStates []S
 }
 
-// levelFrontier is the default FrontierStore: a double-buffered
-// level-synchronized queue. NextLevel hands out the accumulated level and
-// recycles the previously handed-out slice for the next one, so a steady
-// exploration allocates no frontier storage after the widest level.
-type levelFrontier struct {
-	cur, next []int
+func (f *levelFrontier[S]) Push(id int, s S) {
+	f.nextIDs = append(f.nextIDs, id)
+	f.nextStates = append(f.nextStates, s)
 }
 
-func newLevelFrontier() *levelFrontier { return &levelFrontier{} }
-
-func (f *levelFrontier) Push(id int) { f.next = append(f.next, id) }
-
-func (f *levelFrontier) NextLevel() []int {
-	f.cur, f.next = f.next, f.cur[:0]
-	return f.cur
+func (f *levelFrontier[S]) NextLevel() ([]int, []S) {
+	clear(f.states)
+	f.ids, f.nextIDs = f.nextIDs, f.ids[:0]
+	f.states, f.nextStates = f.nextStates, f.states[:0]
+	return f.ids, f.states
 }
 
 // visitedShards is the number of independently locked shards of the
@@ -231,17 +231,6 @@ func (vs *memVisited) adoptRuns(fsys FS, srcDir string, names []string) error {
 	return nil
 }
 
-// checkpointVisited is the optional interface a visited store implements
-// to participate in checkpoint/resume: snapshotRuns seals the store's
-// dedup state into sorted run files under dir (names returned relative to
-// dir, store unmodified), and adoptRuns restores a previous snapshot into
-// a fresh store. Both built-in fingerprint stores implement it; a plugged
-// Options.Visited need not (Options.Validate rejects that combination).
-type checkpointVisited interface {
-	snapshotRuns(fsys FS, dir, prefix string) ([]string, error)
-	adoptRuns(fsys FS, srcDir string, names []string) error
-}
-
 // newVisitedStore selects the visited store for a validated Options:
 // the spilling fingerprint store when a memory budget is set, the
 // collision-free map when exactness is demanded (explicitly, or implicitly
@@ -249,7 +238,7 @@ type checkpointVisited interface {
 // otherwise. A checkpointing run forces fingerprint mode even for the
 // sequential oracle — checkpoints persist (fingerprint, id) records, which
 // a full-encoding map cannot be rebuilt from.
-func newVisitedStore(opts Options, workers int, em *engineMetrics) VisitedStore {
+func newVisitedStore(opts Options, workers int, em *engineMetrics) visitedStore {
 	if opts.MemoryBudgetBytes > 0 {
 		return newSpillVisited(opts.MemoryBudgetBytes, opts.FS, em)
 	}

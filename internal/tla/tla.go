@@ -119,98 +119,76 @@ type Edge struct {
 }
 
 // Graph is the reachable-state graph recorded during checking. States are
-// numbered densely in BFS discovery order.
+// numbered densely in BFS discovery order; Inits lists the initial states.
 //
-// The graph has two representations behind one API. In live mode (the
-// default under Options.RecordGraph) the exported slices hold everything:
-// States[i] is state i, Keys[i] its canonical key, Edges the transitions.
-// In arena mode (RecordGraph + StateArena on a BinaryDecoder spec) the
-// slices stay empty except Inits, and states and edges are served lazily
-// from the retained-state arena — resident segments or the spill file —
-// so a graph larger than memory is still fully traversable. Consumers
-// should therefore use the accessors (Len, NumEdges, StateAt, KeyAt,
-// ForEachEdge) rather than the slices; an arena-mode graph owns the
-// arena's spill file, and the caller releases it with Close when done.
+// States and edges live in the run's state arena — resident segments or
+// the spill file — and the accessors (Len, NumEdges, StateAt, KeyAt,
+// ForEachEdge) serve them from there, so a graph larger than memory is
+// still fully traversable. StateAt decodes a state when the spec state
+// implements BinaryDecoder and replays its parent chain otherwise (see
+// arena.go). The graph owns the arena's spill file; the caller releases it
+// with Close when done.
 //
-// Arena-mode accessors that cannot return an error (StateAt, KeyAt, and
-// the traversals built on them) panic if a spilled segment has become
-// unreadable — reconstruction reads are required reads, exactly as in
-// counterexample reconstruction, and a silent wrong answer is worse.
+// Accessors that cannot return an error (StateAt, KeyAt, and the
+// traversals built on them) panic if a spilled segment has become
+// unreadable or a state cannot be reconstructed — reconstruction reads are
+// required reads, exactly as in counterexample reconstruction, and a
+// silent wrong answer is worse.
 type Graph[S State] struct {
-	States []S
-	Keys   []string
-	Edges  []Edge
-	Inits  []int
+	Inits []int
 
-	// arena mode: the run's retainer (holding the arena) and a codec with
-	// the bound decoder; nil in live mode.
-	ret *retainer[S]
-	cod *codec[S]
+	spec *Spec[S]
+	ret  *retainer[S]
+	cod  *codec[S] // the run's merge codec, decoder bound
 
 	adjOnce sync.Once
 	adj     [][]Edge
 }
 
 // Len returns the number of states in the graph.
-func (g *Graph[S]) Len() int {
-	if g.ret != nil {
-		return g.ret.arena.len()
-	}
-	return len(g.States)
-}
+func (g *Graph[S]) Len() int { return g.ret.len() }
 
 // NumEdges returns the number of recorded transitions.
-func (g *Graph[S]) NumEdges() int {
-	if g.ret != nil {
-		return g.ret.arena.edgeCount
-	}
-	return len(g.Edges)
-}
+func (g *Graph[S]) NumEdges() int { return g.ret.arena.edgeCount }
 
-// StateAt returns state id — from the slice in live mode, decoded from its
-// stored encoding in arena mode (panicking on an arena read failure; see
-// the type comment).
+// StateAt returns state id, reconstructed from the arena (panicking on a
+// reconstruction failure; see the type comment).
 func (g *Graph[S]) StateAt(id int) S {
-	if g.ret != nil {
-		s, err := g.ret.decodeState(g.cod, id)
-		if err != nil {
-			panic(err)
-		}
-		return s
+	s, err := g.ret.state(g.spec, g.cod, id, nil)
+	if err != nil {
+		panic(err)
 	}
-	return g.States[id]
+	return s
 }
 
-// KeyAt returns the canonical key of state id.
+// KeyAt returns the canonical key of state id. A run that encodes states
+// by Key() stored the key itself, which is served without reconstructing
+// the state.
 func (g *Graph[S]) KeyAt(id int) string {
-	if g.ret != nil {
+	if g.cod.bin != nil {
 		return g.StateAt(id).Key()
 	}
-	return g.Keys[id]
+	enc, err := g.ret.arena.encoding(id, nil)
+	if err != nil {
+		panic(err)
+	}
+	return string(enc)
 }
 
 // ForEachEdge streams every recorded edge to fn in recorded order,
-// stopping at the first error. In arena mode edges are read back segment
-// by segment, so the full edge list is never materialized.
+// stopping at the first error. Edges are read back segment by segment, so
+// the full edge list is never materialized.
 func (g *Graph[S]) ForEachEdge(fn func(Edge) error) error {
-	if g.ret != nil {
-		return g.ret.arena.forEachEdge(func(from int, act uint16, to int) error {
-			return fn(Edge{From: from, Action: g.ret.acts[act], To: to})
-		})
-	}
-	for _, e := range g.Edges {
-		if err := fn(e); err != nil {
-			return err
-		}
-	}
-	return nil
+	return g.ret.arena.forEachEdge(func(from int, act uint16, to int) error {
+		return fn(Edge{From: from, Action: g.ret.acts[act], To: to})
+	})
 }
 
-// Close releases the arena spill file an arena-mode graph owns. Live-mode
-// graphs hold no resources; Close is then a no-op. After Close, accessors
-// may fail on spilled data — close only when done with the graph.
+// Close releases the arena spill file the graph owns. Closing twice is a
+// no-op. After Close, accessors may fail on spilled data — close only when
+// done with the graph.
 func (g *Graph[S]) Close() error {
-	if g.ret == nil || !g.ret.graphOwned {
+	if !g.ret.graphOwned {
 		return nil
 	}
 	g.ret.graphOwned = false
@@ -229,12 +207,10 @@ func (g *Graph[S]) Successors(id int) []Edge {
 
 // Options configures a model-checking run.
 type Options struct {
-	// RecordGraph records every state and edge so the Result carries a
-	// Graph. Required for DOT export, liveness checking and MBTCG. Alone
-	// it retains live states and edges in memory; combined with StateArena
-	// on a spec whose state implements BinaryDecoder, the graph is instead
-	// served lazily from the arena's (possibly disk-spilled) segments —
-	// see Graph.
+	// RecordGraph records every edge so the Result carries a Graph.
+	// Required for DOT export, liveness checking and MBTCG. The graph is
+	// served from the state arena's (possibly disk-spilled) segments — see
+	// Graph.
 	RecordGraph bool
 	// MaxStates aborts exploration after this many distinct states
 	// (0 = unlimited). The checker returns ErrStateLimit.
@@ -247,24 +223,6 @@ type Options struct {
 	// identical to the sequential path: same counters, same graph, same
 	// shortest counterexample.
 	Workers int
-	// StateArena retains discovered states as canonical encodings in an
-	// append-only arena — parent links and ~24 bytes of metadata per state
-	// plus the encoding bytes — instead of live S values, keeping live
-	// values only for the states still awaiting expansion. For slice-heavy
-	// states this cuts retained bytes per state severalfold; it is the
-	// knob that bounds trace-storage memory the way the fingerprint set
-	// bounds deduplication memory. With MemoryBudgetBytes set, sealed
-	// arena segments spill to disk under the same budget, so the visited
-	// set and trace storage both respect it. Counterexamples are
-	// reconstructed from the stored encodings — decoded directly when the
-	// state implements BinaryDecoder, replayed through the recorded
-	// actions otherwise; the arena stores each state's plain encoding,
-	// which identifies the exact state explored, so the reconstructed
-	// trace is byte-identical to live retention's — including under
-	// symmetry reduction. Combined with RecordGraph on a BinaryDecoder
-	// spec, the arena also backs the state graph (see Graph); without a
-	// decoder the graph falls back to live retention of its states.
-	StateArena bool
 	// PartialOrder enables ample-set partial-order reduction (-por on the
 	// CLIs) for specs that declare Independence: per expanded state the
 	// engine explores only one eligible process's transitions when the
@@ -272,10 +230,9 @@ type Options struct {
 	// conditions and exactly what is preserved). On a spec without a
 	// declaration the flag is a no-op — Result.PartialOrder reports
 	// whether pruning was actually active. Composes with SymmetryVisitor,
-	// any worker count, StateArena and MemoryBudgetBytes; rejected with
-	// MaxDepth (a depth bound cuts deferred interleavings differently
-	// from the unpruned run) and with plugged-in Visited/Frontier stores
-	// (the cycle proviso needs the built-in claim protocol). Liveness
+	// any worker count and MemoryBudgetBytes; rejected with MaxDepth (a
+	// depth bound cuts deferred interleavings differently from the
+	// unpruned run). Liveness
 	// checking needs the full edge set: run CheckEventually* on graphs
 	// recorded without POR.
 	PartialOrder bool
@@ -295,30 +252,19 @@ type Options struct {
 	// benchmarks and as a debugging aid when an AppendBinary
 	// implementation is suspected of violating the Key-agreement contract.
 	ForceKeyEncoding bool
-	// MemoryBudgetBytes bounds the visited set's resident memory
-	// (approximately — the engine charges a fixed estimate per resident
-	// fingerprint). When set, the engine dedups on a disk-spilling
-	// fingerprint store: shards past the budget are sealed into sorted
-	// runs on disk and consulted by one merge-join per BFS level, TLC's
-	// external-memory fingerprint set. 0 keeps everything resident.
+	// MemoryBudgetBytes bounds the resident memory of the visited set and,
+	// separately, of the state arena (approximately — the engine charges a
+	// fixed estimate per resident fingerprint). When set, the engine
+	// dedups on a disk-spilling fingerprint store: shards past the budget
+	// are sealed into sorted runs on disk and consulted by one merge-join
+	// per BFS level, TLC's external-memory fingerprint set; and sealed
+	// arena segments spill to a temp file. 0 keeps everything resident.
 	//
 	// The budget implies fingerprint deduplication at every worker count —
 	// including Workers == 1, which is otherwise the always-collision-free
 	// oracle — and is therefore rejected alongside CollisionFree, whose
 	// full-encoding keys are memory-resident by definition.
 	MemoryBudgetBytes int64
-	// Visited, when non-nil, plugs in a caller-supplied VisitedStore,
-	// overriding the selection the options above imply (CollisionFree
-	// and MemoryBudgetBytes describe the built-in stores and are
-	// rejected alongside a plug-in). The engine does not Close a
-	// plugged-in store — its lifecycle belongs to the caller — but a
-	// store carries one run's dense-id assignments, so every Check call
-	// needs a freshly constructed store; reusing one yields bogus
-	// results.
-	Visited VisitedStore
-	// Frontier, when non-nil, plugs in a caller-supplied FrontierStore in
-	// place of the default level-synchronized queue.
-	Frontier FrontierStore
 	// Context, when non-nil, cancels the run cooperatively: the engine
 	// polls it between levels and between frontier states, and an
 	// interrupted run returns the partial Result (Interrupted set,
@@ -345,10 +291,8 @@ type Options struct {
 	// — the engine seals the current spill runs and arena segments into
 	// this directory with a manifest, and a later run with ResumeFrom
 	// continues where it stopped, with verdict and counts identical to an
-	// uninterrupted run. Requires StateArena (the parent-chain replay
-	// that reconstructs the frontier's live states) and fingerprint
-	// deduplication (rejected alongside CollisionFree and plugged-in
-	// stores).
+	// uninterrupted run. Requires fingerprint deduplication (rejected
+	// alongside CollisionFree).
 	CheckpointDir string
 	// CheckpointEvery checkpoints every N completed BFS levels in
 	// addition to checkpoint-on-interrupt (0 = only on interrupt).
@@ -447,24 +391,14 @@ func (o Options) Validate() error {
 		return fmt.Errorf("%w: negative MemoryBudgetBytes %d (0 means fully resident)", ErrInvalidOptions, o.MemoryBudgetBytes)
 	case o.MemoryBudgetBytes > 0 && o.CollisionFree:
 		return fmt.Errorf("%w: MemoryBudgetBytes requires fingerprint deduplication, but CollisionFree keys the visited set on full encodings, which are memory-resident by definition", ErrInvalidOptions)
-	case o.MemoryBudgetBytes > 0 && o.Visited != nil:
-		return fmt.Errorf("%w: MemoryBudgetBytes selects the spilling store and Visited plugs in another; set one", ErrInvalidOptions)
-	case o.CollisionFree && o.Visited != nil:
-		return fmt.Errorf("%w: CollisionFree selects the full-encoding store and Visited plugs in another; set one", ErrInvalidOptions)
 	case !o.Deadline.IsZero() && !o.Deadline.After(time.Now()):
 		return fmt.Errorf("%w: Deadline %s is in the past", ErrInvalidOptions, o.Deadline.Format(time.RFC3339))
 	case o.CheckpointEvery < 0:
 		return fmt.Errorf("%w: negative CheckpointEvery %d (0 means checkpoint only on interrupt)", ErrInvalidOptions, o.CheckpointEvery)
 	case o.CheckpointEvery > 0 && o.CheckpointDir == "":
 		return fmt.Errorf("%w: CheckpointEvery needs a CheckpointDir to write to", ErrInvalidOptions)
-	case o.checkpointing() && !o.StateArena:
-		return fmt.Errorf("%w: checkpoint/resume needs StateArena: the arena's parent chains and stored encodings are what reconstruct the frontier's live states on resume", ErrInvalidOptions)
 	case o.checkpointing() && o.CollisionFree:
 		return fmt.Errorf("%w: checkpoints persist 64-bit fingerprints; CollisionFree keys the visited set on full encodings, which are not persisted", ErrInvalidOptions)
-	case o.checkpointing() && (o.Visited != nil || o.Frontier != nil):
-		return fmt.Errorf("%w: checkpoint/resume drives the built-in stores; plugged-in Visited/Frontier stores own their lifecycle and cannot be sealed", ErrInvalidOptions)
-	case o.PartialOrder && (o.Visited != nil || o.Frontier != nil):
-		return fmt.Errorf("%w: PartialOrder's cycle proviso needs the built-in claim-then-assign visited protocol; plugged-in Visited/Frontier stores cannot honor it", ErrInvalidOptions)
 	case o.PartialOrder && o.MaxDepth > 0:
 		return fmt.Errorf("%w: PartialOrder changes the depth at which deferred interleavings are explored, so MaxDepth would cut a different state set than the unpruned run; bound with MaxStates instead", ErrInvalidOptions)
 	case o.ProgressEvery < 0:
@@ -543,13 +477,6 @@ type Result[S State] struct {
 	DeferredTransitions int
 }
 
-type stateEntry struct {
-	id     int
-	parent int // -1 for initial states
-	act    string
-	depth  int
-}
-
 // Check explores the reachable states of spec breadth-first and returns a
 // Result. If an invariant fails, Result.Violation holds the shortest
 // counterexample and Check returns it as the error as well; exploration
@@ -558,9 +485,9 @@ type stateEntry struct {
 // One engine serves every configuration: Options selects the worker count
 // (0 resolves to GOMAXPROCS; 1 is the sequential oracle, which dedups on
 // full encodings and is therefore always collision-free unless
-// MemoryBudgetBytes engages the spilling fingerprint store) and the
-// visited/frontier stores. Results are identical at every worker count and
-// under every store, modulo fingerprint collisions (see CollisionFree).
+// MemoryBudgetBytes engages the spilling fingerprint store) and the visited
+// store. Results are identical at every worker count and under every
+// store, modulo fingerprint collisions (see CollisionFree).
 func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
@@ -571,36 +498,13 @@ func Check[S State](spec *Spec[S], opts Options) (*Result[S], error) {
 	workers := resolveWorkers(opts.Workers)
 	em := newEngineMetrics(opts, workers)
 	em.journalStart(spec.Name, workers, opts.PartialOrder && spec.Independence != nil)
-	vs := opts.Visited
-	if vs == nil {
-		vs = newVisitedStore(opts, workers, em)
-		defer vs.Close()
-	}
-	fr := opts.Frontier
-	if fr == nil {
-		fr = newLevelFrontier()
-	}
-	res, err := runEngine(spec, opts, workers, vs, fr, em)
+	vs := newVisitedStore(opts, workers, em)
+	defer vs.Close()
+	res, err := runEngine(spec, opts, workers, vs, em)
 	if res != nil {
 		em.journalEnd(coreOf(res), err)
 	}
 	return res, err
-}
-
-func rebuildTrace[S State](entries []stateEntry, states []S, id int) ([]S, []string) {
-	var rev []int
-	for i := id; i >= 0; i = entries[i].parent {
-		rev = append(rev, i)
-	}
-	trace := make([]S, 0, len(rev))
-	acts := make([]string, 0, len(rev)-1)
-	for i := len(rev) - 1; i >= 0; i-- {
-		trace = append(trace, states[rev[i]])
-		if i > 0 {
-			acts = append(acts, entries[rev[i-1]].act)
-		}
-	}
-	return trace, acts
 }
 
 // TerminalStates returns the ids of states with no outgoing edges in g.
@@ -663,9 +567,9 @@ func (g *Graph[S]) PathTo(id int) []int {
 }
 
 // adjacency returns the per-state outgoing-edge index, building it lazily
-// on first use (one O(E) pass instead of a rescan per Successors call). In
-// arena mode the index materializes every edge in memory — callers that
-// can stream should prefer ForEachEdge.
+// on first use (one O(E) pass instead of a rescan per Successors call). The
+// index materializes every edge in memory — callers that can stream should
+// prefer ForEachEdge.
 func (g *Graph[S]) adjacency() [][]Edge {
 	g.adjOnce.Do(func() {
 		g.adj = make([][]Edge, g.Len())

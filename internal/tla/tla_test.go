@@ -147,8 +147,8 @@ func TestGraphRecording(t *testing.T) {
 	if g == nil {
 		t.Fatal("no graph recorded")
 	}
-	if len(g.States) != res.Distinct {
-		t.Errorf("graph states = %d, distinct = %d", len(g.States), res.Distinct)
+	if g.Len() != res.Distinct {
+		t.Errorf("graph states = %d, distinct = %d", g.Len(), res.Distinct)
 	}
 	if len(g.Inits) != 1 || g.Inits[0] != 0 {
 		t.Errorf("inits = %v", g.Inits)
@@ -157,7 +157,7 @@ func TestGraphRecording(t *testing.T) {
 	if len(term) != 1 {
 		t.Fatalf("terminal states = %v, want exactly one", term)
 	}
-	if got := g.States[term[0]]; got.A != 2 || got.B != 2 {
+	if got := g.StateAt(term[0]); got.A != 2 || got.B != 2 {
 		t.Errorf("terminal state = %+v, want (2,2)", got)
 	}
 	path := g.PathTo(term[0])
@@ -180,7 +180,7 @@ func TestCheckEventually(t *testing.T) {
 	}
 	// Every behaviour can reach the absorbing state (3,3).
 	if w := CheckEventually(res.Graph, func(s counterState) bool { return s.A == 3 && s.B == 3 }); w != -1 {
-		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.States[w])
+		t.Errorf("eventually (3,3) failed, witness %v", res.Graph.StateAt(w))
 	}
 	// But "eventually B > A" is unreachable, so every state is a witness.
 	if w := CheckEventually(res.Graph, func(s counterState) bool { return s.B > s.A }); w == -1 {
@@ -334,14 +334,14 @@ func TestWriteParseDOTRoundTrip(t *testing.T) {
 	if len(dg.Labels) != res.Distinct {
 		t.Errorf("parsed %d nodes, want %d", len(dg.Labels), res.Distinct)
 	}
-	if len(dg.Edges) != len(res.Graph.Edges) {
-		t.Errorf("parsed %d edges, want %d", len(dg.Edges), len(res.Graph.Edges))
+	if len(dg.Edges) != res.Graph.NumEdges() {
+		t.Errorf("parsed %d edges, want %d", len(dg.Edges), res.Graph.NumEdges())
 	}
 	if len(dg.Inits) != 1 || dg.Labels[dg.Inits[0]] != "0/0" {
 		t.Errorf("inits = %v", dg.Inits)
 	}
 	// Labels must round-trip exactly.
-	for id, key := range res.Graph.Keys {
+	for id, key := range graphKeys(res.Graph) {
 		if dg.Labels[id] != key {
 			t.Errorf("node %d label = %q, want %q", id, dg.Labels[id], key)
 		}
