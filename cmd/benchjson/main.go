@@ -1,9 +1,8 @@
 // Command benchjson starts the repository's machine-readable performance
 // trajectory: it runs the reduction and throughput measurements that CI's
 // bench-delta stage watches as Go benchmarks, in-process, and writes them
-// as one JSON file per PR — BENCH_10.json for this one; future PRs append
-// BENCH_<n>.json next to it so the series can be diffed and plotted
-// without parsing `go test -bench` text.
+// as one JSON file per PR (BENCH_<n>.json, n the -pr number), so the
+// series can be diffed and plotted without parsing `go test -bench` text.
 //
 // Schema (schema_version 1):
 //
@@ -48,9 +47,20 @@
 // several interleaved repetitions, which cancels scheduler noise that
 // would otherwise swamp a single-digit-percent measurement.
 //
+// The "mbtc/trace-check/<N>" rows measure the paper's MBTC pipeline
+// against trace length: the first N events of one rollback-fuzzer trace
+// (SyncBeforeWrites, so it passes) post-processed and checked against
+// RaftMongo V2 on one checker worker. They carry "events_per_sec" (N /
+// wall time). Their "distinct_states" is the checker's frontier size
+// summed over the trace's observations, so "states_per_sec" is frontier
+// states per second: the cost of an event grows with the frontier it
+// advances, so events/sec falls where the trace's frontiers widen while
+// frontier states/sec stays flatter. The trace is generated once,
+// outside the timed region.
+//
 // Usage:
 //
-//	benchjson [-out BENCH_10.json] [-pr 10] [-config small|full]
+//	benchjson [-out BENCH_14.json] [-pr 14] [-config small|full]
 package main
 
 import (
@@ -64,9 +74,12 @@ import (
 	"time"
 
 	"repro/internal/checkd"
+	"repro/internal/fuzzer"
 	"repro/internal/locking"
+	"repro/internal/mbtc"
 	"repro/internal/obs"
 	"repro/internal/raftmongo"
+	"repro/internal/replset"
 	"repro/internal/tla"
 )
 
@@ -86,6 +99,9 @@ type benchmark struct {
 	// The obs-overhead row reports the metrics-registry slowdown in
 	// percent of baseline states/sec; omitted elsewhere.
 	OverheadPct float64 `json:"overhead_pct,omitempty"`
+	// The mbtc/trace-check rows report trace events checked per second;
+	// omitted elsewhere.
+	EventsPerSec float64 `json:"events_per_sec,omitempty"`
 }
 
 type report struct {
@@ -99,8 +115,8 @@ type report struct {
 
 func main() {
 	var (
-		out    = flag.String("out", "BENCH_10.json", "output path")
-		pr     = flag.Int("pr", 10, "PR number recorded in the report")
+		out    = flag.String("out", "BENCH_14.json", "output path")
+		pr     = flag.Int("pr", 14, "PR number recorded in the report")
 		config = flag.String("config", "small", "state-space size: small (3 nodes, 2 terms, logs of 2) or full (the paper's 3/3/3)")
 	)
 	flag.Parse()
@@ -214,6 +230,16 @@ func run(out string, pr int, config string) error {
 		rep.Benchmarks = append(rep.Benchmarks, b)
 	}
 
+	traceRows, err := benchTraceCheck()
+	if err != nil {
+		return err
+	}
+	for _, b := range traceRows {
+		fmt.Printf("%-28s frontier-sum=%-8d events/sec=%-10.0f wall=%.3fs\n",
+			b.Name, b.DistinctStates, b.EventsPerSec, b.WallSeconds)
+		rep.Benchmarks = append(rep.Benchmarks, b)
+	}
+
 	serviceRows, err := benchCheckd(rcfg)
 	if err != nil {
 		return err
@@ -317,6 +343,53 @@ func benchObsOverhead(rcfg raftmongo.Config) ([]benchmark, error) {
 		WallSeconds:    bestOn,
 		OverheadPct:    (1 - instSS/baseSS) * 100,
 	}}, nil
+}
+
+// traceLengths are the mbtc/trace-check prefix lengths, in events.
+var traceLengths = []int{500, 1000, 2000, 4000}
+
+// benchTraceCheck measures MBTC trace checking against trace length on
+// prefixes of one rollback-fuzzer trace. The fuzzer runs 16,000 steps,
+// enough for a trace of more than traceLengths' longest prefix.
+func benchTraceCheck() ([]benchmark, error) {
+	fcfg := fuzzer.DefaultRollbackConfig()
+	fcfg.SyncBeforeWrites = true
+	fcfg.Steps = 16000
+	events, err := mbtc.RunTraced(replset.Config{Nodes: fcfg.Nodes, Seed: fcfg.Seed}, func(c *replset.Cluster) error {
+		_, err := fuzzer.FuzzRollback(fcfg, c)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("mbtc/trace-check: capture: %w", err)
+	}
+	spec := raftmongo.SpecV2(mbtc.CheckConfig(fcfg.Nodes))
+	var rows []benchmark
+	for _, n := range traceLengths {
+		name := fmt.Sprintf("mbtc/trace-check/%d", n)
+		if n > len(events) {
+			return nil, fmt.Errorf("%s: the fuzzer trace has only %d events", name, len(events))
+		}
+		b, err := measure(name, func() (int, error) { return 0, nil }, func() (int, error) {
+			rep, err := mbtc.CheckEventsWith(fcfg.Nodes, events[:n], spec, 1)
+			if err != nil {
+				return 0, err
+			}
+			if !rep.OK {
+				return 0, fmt.Errorf("trace diverged at observation %d (%s)", rep.FailedStep, rep.FailedEvent)
+			}
+			sum := 0
+			for _, f := range rep.StatesVisited {
+				sum += f
+			}
+			return sum, nil
+		})
+		if err != nil {
+			return nil, err
+		}
+		b.EventsPerSec = float64(n) / b.WallSeconds
+		rows = append(rows, b)
+	}
+	return rows, nil
 }
 
 // benchCheckd measures the checking service through an in-process

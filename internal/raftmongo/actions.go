@@ -1,10 +1,23 @@
 package raftmongo
 
+import "slices"
+
 // This file implements the named state transitions of RaftMongo.tla, shared
 // between the V1 and V2 spec variants. Every function enumerates all
 // successors of a state via one action, across all nodes (and source nodes,
 // for the gossip actions), exactly as a TLA+ action quantified over the
 // server set.
+//
+// Successors are copy-on-write (see State): an action never writes into
+// its input, and a successor allocates only the variable the action
+// writes — a fresh Roles, Terms or CommitPoints slice, or a fresh Oplogs
+// header — and shares every other slice with its parent. Oplogs are
+// shared too: AppendOplog aliases a prefix of the sync source's oplog and
+// RollbackOplog reslices the node's own, so ClientWrite is the only action
+// that allocates an oplog. Every oplog an action stores is clipped
+// (len == cap), so no later append can write into a backing array another
+// state shares. A successor therefore costs O(n) whatever the oplog
+// lengths, which keeps trace checking linear in trace length.
 
 // appendOplog: node i receives entries from any node j that is strictly
 // ahead and whose oplog extends i's. The MongoDB Server uses a pull
@@ -21,10 +34,11 @@ func appendOplog(s State) []State {
 			if i == j || len(s.Oplogs[j]) <= len(s.Oplogs[i]) || !s.isPrefix(i, j) {
 				continue
 			}
+			// i's oplog is a prefix of j's, so j's first k entries are
+			// exactly i's oplog extended by the batch.
+			out = slices.Grow(out, len(s.Oplogs[j])-len(s.Oplogs[i]))
 			for k := len(s.Oplogs[i]) + 1; k <= len(s.Oplogs[j]); k++ {
-				c := s.clone()
-				c.Oplogs[i] = append(c.Oplogs[i], s.Oplogs[j][len(s.Oplogs[i]):k]...)
-				out = append(out, c)
+				out = append(out, s.withOplog(i, s.Oplogs[j][:k:k]))
 			}
 		}
 	}
@@ -52,11 +66,22 @@ func rollbackOplog(s State) []State {
 		if !canRollback {
 			continue
 		}
-		c := s.clone()
-		c.Oplogs[i] = c.Oplogs[i][:len(c.Oplogs[i])-1]
-		out = append(out, c)
+		l := len(s.Oplogs[i]) - 1
+		out = append(out, s.withOplog(i, s.Oplogs[i][:l:l]))
 	}
 	return out
+}
+
+// quorumTable lists, for each candidate i of an n-node replica set, every
+// majority subset of {0..n-1} containing i. The spec constructors build it
+// once per node count; becomePrimaryByMagic only reads it, so concurrent
+// workers share it.
+func quorumTable(n int) [][][]int {
+	t := make([][][]int, n)
+	for i := range t {
+		t[i] = quorums(n, i)
+	}
+	return t
 }
 
 // quorums enumerates every majority subset of {0..n-1} containing node i.
@@ -102,11 +127,13 @@ func quorums(n, i int) [][]int {
 // Both variants keep the original specification's simplifying assumption of
 // at most one leader at a time (§4.2.2 "Two leaders"): on election, every
 // other node reverts to follower.
-func becomePrimaryByMagic(s State, globalTerm bool) []State {
+//
+// qs is quorumTable(s.NumNodes()).
+func becomePrimaryByMagic(s State, globalTerm bool, qs [][][]int) []State {
 	var out []State
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
-		for _, q := range quorums(n, i) {
+		for _, q := range qs[i] {
 			eligible := true
 			for _, j := range q {
 				if s.logAhead(j, i) {
@@ -117,11 +144,10 @@ func becomePrimaryByMagic(s State, globalTerm bool) []State {
 			if !eligible {
 				continue
 			}
-			c := s.clone()
-			for j := range c.Roles {
-				c.Roles[j] = Follower
-			}
+			c := s
+			c.Roles = make([]Role, n) // all Follower
 			c.Roles[i] = Leader
+			c.Terms = slices.Clone(s.Terms)
 			if globalTerm {
 				newTerm := s.maxTerm() + 1
 				for j := range c.Terms {
@@ -152,7 +178,8 @@ func stepdown(s State) []State {
 		if r != Leader {
 			continue
 		}
-		c := s.clone()
+		c := s
+		c.Roles = slices.Clone(s.Roles)
 		c.Roles[i] = Follower
 		out = append(out, c)
 	}
@@ -160,16 +187,18 @@ func stepdown(s State) []State {
 }
 
 // clientWrite: a leader executes a write, appending an entry stamped with
-// its current term to its own oplog.
+// its current term to its own oplog. It is the only action that allocates
+// an oplog: the copy is exactly one entry longer, so it is clipped.
 func clientWrite(s State) []State {
 	var out []State
 	for i, r := range s.Roles {
 		if r != Leader {
 			continue
 		}
-		c := s.clone()
-		c.Oplogs[i] = append(c.Oplogs[i], s.Terms[i])
-		out = append(out, c)
+		log := make([]int, len(s.Oplogs[i])+1)
+		copy(log, s.Oplogs[i])
+		log[len(log)-1] = s.Terms[i]
+		out = append(out, s.withOplog(i, log))
 	}
 	return out
 }
@@ -208,9 +237,7 @@ func advanceCommitPoint(s State) []State {
 		if best == s.CommitPoints[i] {
 			continue
 		}
-		c := s.clone()
-		c.CommitPoints[i] = best
-		out = append(out, c)
+		out = append(out, s.withCommitPoint(i, best))
 	}
 	return out
 }
@@ -226,9 +253,7 @@ func learnCommitPointV1(s State) []State {
 			if i == j || !s.CommitPoints[i].Before(s.CommitPoints[j]) {
 				continue
 			}
-			c := s.clone()
-			c.CommitPoints[i] = s.CommitPoints[j]
-			out = append(out, c)
+			out = append(out, s.withCommitPoint(i, s.CommitPoints[j]))
 		}
 	}
 	return out
@@ -245,9 +270,11 @@ func updateTermThroughHeartbeat(s State) []State {
 			if i == j || s.Terms[j] <= s.Terms[i] {
 				continue
 			}
-			c := s.clone()
+			c := s
+			c.Terms = slices.Clone(s.Terms)
 			c.Terms[i] = s.Terms[j]
-			if c.Roles[i] == Leader {
+			if s.Roles[i] == Leader {
+				c.Roles = slices.Clone(s.Roles)
 				c.Roles[i] = Follower
 			}
 			out = append(out, c)
@@ -270,9 +297,7 @@ func learnCommitPointWithTermCheck(s State) []State {
 			if s.CommitPoints[j].Term > s.Terms[i] {
 				continue
 			}
-			c := s.clone()
-			c.CommitPoints[i] = s.CommitPoints[j]
-			out = append(out, c)
+			out = append(out, s.withCommitPoint(i, s.CommitPoints[j]))
 		}
 	}
 	return out
@@ -301,10 +326,23 @@ func learnCommitPointFromSyncSource(s State) []State {
 			if !s.CommitPoints[i].Before(learned) {
 				continue
 			}
-			c := s.clone()
-			c.CommitPoints[i] = learned
-			out = append(out, c)
+			out = append(out, s.withCommitPoint(i, learned))
 		}
 	}
 	return out
+}
+
+// withOplog returns s with node i's oplog replaced by log, which must be
+// clipped (len == cap). Only the n-entry Oplogs header is copied.
+func (s State) withOplog(i int, log []int) State {
+	s.Oplogs = slices.Clone(s.Oplogs)
+	s.Oplogs[i] = log
+	return s
+}
+
+// withCommitPoint returns s with node i's commit point replaced by cp.
+func (s State) withCommitPoint(i int, cp CommitPoint) State {
+	s.CommitPoints = slices.Clone(s.CommitPoints)
+	s.CommitPoints[i] = cp
+	return s
 }

@@ -78,6 +78,14 @@ func (c CommitPoint) String() string {
 // State is a replica-set state: per-node role, term, commit point, and
 // oplog. An oplog is the sequence of terms of its entries (entry index is
 // the position). In V1 all Terms entries are equal (the global term).
+//
+// States are copy-on-write values. A successor shares every slice its
+// action did not write with its parent, and oplogs are shared between
+// states that agree on a prefix, so a state's slices are read-only once
+// Init, an action or DecodeBinary has returned it: nothing may write into
+// them, and code that needs a changed state builds new slices. Every
+// oplog the spec stores is clipped (len == cap), so appending to one
+// copies rather than writing into a backing array another state shares.
 type State struct {
 	Roles        []Role
 	Terms        []int
@@ -257,24 +265,6 @@ func permuteNodes(s State, perm []int) State {
 		t.Oplogs[p] = s.Oplogs[i]
 	}
 	return t
-}
-
-// clone returns a deep copy; actions mutate the copy.
-func (s State) clone() State {
-	n := s.NumNodes()
-	c := State{
-		Roles:        make([]Role, n),
-		Terms:        make([]int, n),
-		CommitPoints: make([]CommitPoint, n),
-		Oplogs:       make([][]int, n),
-	}
-	copy(c.Roles, s.Roles)
-	copy(c.Terms, s.Terms)
-	copy(c.CommitPoints, s.CommitPoints)
-	for i, log := range s.Oplogs {
-		c.Oplogs[i] = append([]int(nil), log...)
-	}
-	return c
 }
 
 // LastTerm returns the term of node i's newest oplog entry, 0 if empty.

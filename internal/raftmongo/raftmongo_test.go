@@ -2,6 +2,7 @@ package raftmongo
 
 import (
 	"bytes"
+	"math/bits"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -119,29 +120,44 @@ func TestCommittedWritesSurviveRollback(t *testing.T) {
 	}
 }
 
+// TestQuorums checks the table becomePrimaryByMagic reads against the
+// recursive enumeration, entry for entry and in order (successor order is
+// part of the checker's determinism), and against a brute-force
+// enumeration of the majority subsets containing the candidate.
 func TestQuorums(t *testing.T) {
-	qs := quorums(3, 0)
-	// Majorities of {0,1,2} containing 0: {0,1}, {0,2}, {0,1,2}.
-	if len(qs) != 3 {
-		t.Fatalf("quorums(3,0) = %v", qs)
-	}
-	for _, q := range qs {
-		if len(q) < Majority(3) {
-			t.Errorf("quorum %v below majority", q)
+	for n := 1; n <= 7; n++ {
+		table := quorumTable(n)
+		if len(table) != n {
+			t.Fatalf("n=%d: table has %d rows", n, len(table))
 		}
-		has0 := false
-		for _, m := range q {
-			if m == 0 {
-				has0 = true
+		for i := 0; i < n; i++ {
+			if want := quorums(n, i); !slices.EqualFunc(table[i], want, slices.Equal[[]int]) {
+				t.Fatalf("n=%d i=%d: table %v, recursive enumeration %v", n, i, table[i], want)
+			}
+			got := map[uint]bool{}
+			for _, q := range table[i] {
+				var m uint
+				for _, j := range q {
+					m |= 1 << j
+				}
+				if got[m] {
+					t.Fatalf("n=%d i=%d: quorum %v listed twice", n, i, q)
+				}
+				got[m] = true
+			}
+			want := 0
+			for m := uint(0); m < 1<<n; m++ {
+				if m&(1<<i) != 0 && bits.OnesCount(m) >= Majority(n) {
+					want++
+					if !got[m] {
+						t.Fatalf("n=%d i=%d: majority %b missing", n, i, m)
+					}
+				}
+			}
+			if len(got) != want {
+				t.Fatalf("n=%d i=%d: %d quorums, want %d", n, i, len(got), want)
 			}
 		}
-		if !has0 {
-			t.Errorf("quorum %v missing candidate", q)
-		}
-	}
-	if got := len(quorums(5, 2)); got != 11 {
-		// Majorities of 5 containing a fixed member: C(4,2)+C(4,3)+C(4,4) = 6+4+1.
-		t.Errorf("quorums(5,2) count = %d, want 11", got)
 	}
 }
 
@@ -164,42 +180,46 @@ func TestCommitPointOrdering(t *testing.T) {
 	}
 }
 
+// deepCopy returns a copy of s that shares no memory with it, for tests
+// that build a state by editing another (spec states are read-only).
+func deepCopy(s State) State {
+	c := State{
+		Roles:        slices.Clone(s.Roles),
+		Terms:        slices.Clone(s.Terms),
+		CommitPoints: slices.Clone(s.CommitPoints),
+		Oplogs:       make([][]int, len(s.Oplogs)),
+	}
+	for i, log := range s.Oplogs {
+		c.Oplogs[i] = append([]int{}, log...)
+	}
+	return c
+}
+
 func TestKeyDistinguishesStates(t *testing.T) {
 	cfg := smallCfg()
 	s1 := cfg.initState()
-	s2 := s1.clone()
+	s2 := deepCopy(s1)
 	if s1.Key() != s2.Key() {
-		t.Error("clone changed the key")
+		t.Error("deep copy changed the key")
 	}
 	s2.Terms[1] = 2
 	if s1.Key() == s2.Key() {
 		t.Error("key ignores terms")
 	}
-	s3 := s1.clone()
+	s3 := deepCopy(s1)
 	s3.Oplogs[0] = []int{1}
 	if s1.Key() == s3.Key() {
 		t.Error("key ignores oplogs")
 	}
-	s4 := s1.clone()
+	s4 := deepCopy(s1)
 	s4.Roles[2] = Leader
 	if s1.Key() == s4.Key() {
 		t.Error("key ignores roles")
 	}
-	s5 := s1.clone()
+	s5 := deepCopy(s1)
 	s5.CommitPoints[0] = CommitPoint{1, 1}
 	if s1.Key() == s5.Key() {
 		t.Error("key ignores commit points")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	s := smallCfg().initState()
-	s.Oplogs[0] = []int{1, 2}
-	c := s.clone()
-	c.Oplogs[0][0] = 9
-	c.Roles[1] = Leader
-	if s.Oplogs[0][0] != 1 || s.Roles[1] != Follower {
-		t.Error("clone shares memory with original")
 	}
 }
 
@@ -210,7 +230,7 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	s.Oplogs[1] = []int{1}
 	s.Terms = []int{1, 1, 0}
 	// Node 2 (empty log) must not be electable with voters {0,1}: both are ahead.
-	for _, succ := range becomePrimaryByMagic(s, false) {
+	for _, succ := range becomePrimaryByMagic(s, false, quorumTable(3)) {
 		for i, r := range succ.Roles {
 			if r == Leader && i == 2 {
 				t.Errorf("node 2 elected with stale log: %v", succ)
@@ -219,7 +239,7 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	}
 	// Node 0 must be electable (voter set {0,2}: node 2 not ahead).
 	elected0 := false
-	for _, succ := range becomePrimaryByMagic(s, false) {
+	for _, succ := range becomePrimaryByMagic(s, false, quorumTable(3)) {
 		if succ.Roles[0] == Leader {
 			elected0 = true
 		}
@@ -328,8 +348,9 @@ func TestQuickQuorumOverlap(t *testing.T) {
 	f := func(n8, i8, j8 uint8) bool {
 		n := int(n8%5) + 1
 		i, j := int(i8)%n, int(j8)%n
-		for _, qa := range quorums(n, i) {
-			for _, qb := range quorums(n, j) {
+		qs := quorumTable(n)
+		for _, qa := range qs[i] {
+			for _, qb := range qs[j] {
 				overlap := false
 				for _, a := range qa {
 					for _, b := range qb {
