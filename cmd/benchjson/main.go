@@ -60,7 +60,7 @@
 //
 // Usage:
 //
-//	benchjson [-out BENCH_14.json] [-pr 14] [-config small|full]
+//	benchjson [-out BENCH_15.json] [-pr 15] [-config small|full]
 package main
 
 import (
@@ -115,8 +115,8 @@ type report struct {
 
 func main() {
 	var (
-		out    = flag.String("out", "BENCH_14.json", "output path")
-		pr     = flag.Int("pr", 14, "PR number recorded in the report")
+		out    = flag.String("out", "BENCH_15.json", "output path")
+		pr     = flag.Int("pr", 15, "PR number recorded in the report")
 		config = flag.String("config", "small", "state-space size: small (3 nodes, 2 terms, logs of 2) or full (the paper's 3/3/3)")
 	)
 	flag.Parse()

@@ -83,7 +83,9 @@ func (o initObs) String() string { return "initial state" }
 
 // ObservationsFromProcessed converts a processed state sequence plus its
 // source events into checker observations: one initial observation, then
-// one partial observation per event.
+// one partial observation per event. An observation's Oplog is the
+// reporting node's oplog in the processed state, which trace.Process
+// builds fresh for that event and never writes again, so it is shared.
 func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.ProcessResult) []tla.Observation[raftmongo.State] {
 	obs := make([]tla.Observation[raftmongo.State], 0, len(events)+1)
 	obs = append(obs, initObs{nodes: nodes})
@@ -94,7 +96,7 @@ func ObservationsFromProcessed(nodes int, events []trace.Event, res *trace.Proce
 			Role:            st.Roles[e.Node],
 			Term:            st.Terms[e.Node],
 			CommitPoint:     st.CommitPoints[e.Node],
-			Oplog:           append([]int(nil), st.Oplogs[e.Node]...),
+			Oplog:           st.Oplogs[e.Node],
 			LeaderExclusive: e.Role == "Leader",
 		})
 	}

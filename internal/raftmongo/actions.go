@@ -18,6 +18,123 @@ import "slices"
 // (len == cap), so no later append can write into a backing array another
 // state shares. A successor therefore costs O(n) whatever the oplog
 // lengths, which keeps trace checking linear in trace length.
+//
+// Every action is written once, as a function of the state and a keep
+// predicate (tla.Action.NextWhere). With a nil keep it returns every
+// successor, built directly; that is the action's Next, which model
+// checking uses. With a keep it returns, in the same order, only the
+// successors keep admits: each candidate is built in scratch slices made
+// once per call (an Oplogs header, CommitPoints, Roles or Terms) and
+// handed to keep, and only a kept candidate gets slices of its own. The
+// trace checker passes the observation's Matches as keep, so the ~95% of
+// candidates an observation rejects cost one Matches call each.
+
+// successors collects the successors of s that one action call emits.
+// The action writes each candidate's changed variable through it: oplog
+// and commitPoint take the new value, rolesTerms takes slices built in
+// the ones roles and terms hand out.
+type successors struct {
+	s    State
+	keep func(State) bool // nil: keep every candidate
+	out  []State
+	// The call's scratch, made on first use when keep is set.
+	oplogs [][]int
+	cps    []CommitPoint
+	rs     []Role
+	ts     []int
+}
+
+// oplog emits s with node i's oplog replaced by log, which must be
+// clipped (len == cap) and is stored as is when kept.
+func (b *successors) oplog(i int, log []int) {
+	if b.keep != nil {
+		if b.oplogs == nil {
+			b.oplogs = slices.Clone(b.s.Oplogs)
+		}
+		c := b.s
+		c.Oplogs = b.oplogs
+		c.Oplogs[i] = log
+		kept := b.keep(c)
+		b.oplogs[i] = b.s.Oplogs[i]
+		if !kept {
+			return
+		}
+	}
+	b.out = append(b.out, b.s.withOplog(i, log))
+}
+
+// commitPoint emits s with node i's commit point replaced by cp.
+func (b *successors) commitPoint(i int, cp CommitPoint) {
+	if b.keep != nil {
+		if b.cps == nil {
+			b.cps = slices.Clone(b.s.CommitPoints)
+		}
+		c := b.s
+		c.CommitPoints = b.cps
+		c.CommitPoints[i] = cp
+		kept := b.keep(c)
+		b.cps[i] = b.s.CommitPoints[i]
+		if !kept {
+			return
+		}
+	}
+	b.out = append(b.out, b.s.withCommitPoint(i, cp))
+}
+
+// roles returns a copy of s.Roles for a candidate to write into: a fresh
+// slice when every candidate is kept, else the call's scratch. (make and
+// copy, not slices.Clone: model checking calls this for most successors,
+// and Clone's growslice costs it measurably more.)
+func (b *successors) roles() []Role {
+	if b.keep == nil {
+		r := make([]Role, len(b.s.Roles))
+		copy(r, b.s.Roles)
+		return r
+	}
+	if b.rs == nil {
+		b.rs = make([]Role, len(b.s.Roles))
+	}
+	copy(b.rs, b.s.Roles)
+	return b.rs
+}
+
+// terms is roles for s.Terms.
+func (b *successors) terms() []int {
+	if b.keep == nil {
+		t := make([]int, len(b.s.Terms))
+		copy(t, b.s.Terms)
+		return t
+	}
+	if b.ts == nil {
+		b.ts = make([]int, len(b.s.Terms))
+	}
+	copy(b.ts, b.s.Terms)
+	return b.ts
+}
+
+// rolesTerms emits s with Roles and Terms replaced by roles and terms,
+// which come from b.roles and b.terms; a nil one keeps s's slice.
+func (b *successors) rolesTerms(roles []Role, terms []int) {
+	c := b.s
+	if roles != nil {
+		c.Roles = roles
+	}
+	if terms != nil {
+		c.Terms = terms
+	}
+	if b.keep != nil {
+		if !b.keep(c) {
+			return
+		}
+		if roles != nil {
+			c.Roles = slices.Clone(roles)
+		}
+		if terms != nil {
+			c.Terms = slices.Clone(terms)
+		}
+	}
+	b.out = append(b.out, c)
+}
 
 // appendOplog: node i receives entries from any node j that is strictly
 // ahead and whose oplog extends i's. The MongoDB Server uses a pull
@@ -26,8 +143,8 @@ import "slices"
 // specification models initial sync as copying the leader's entire oplog
 // at once, which is what makes the post-processor's prefix filling
 // (solution 4) produce checkable traces.
-func appendOplog(s State) []State {
-	var out []State
+func appendOplog(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -36,21 +153,23 @@ func appendOplog(s State) []State {
 			}
 			// i's oplog is a prefix of j's, so j's first k entries are
 			// exactly i's oplog extended by the batch.
-			out = slices.Grow(out, len(s.Oplogs[j])-len(s.Oplogs[i]))
+			if keep == nil {
+				b.out = slices.Grow(b.out, len(s.Oplogs[j])-len(s.Oplogs[i]))
+			}
 			for k := len(s.Oplogs[i]) + 1; k <= len(s.Oplogs[j]); k++ {
-				out = append(out, s.withOplog(i, s.Oplogs[j][:k:k]))
+				b.oplog(i, s.Oplogs[j][:k:k])
 			}
 		}
 	}
-	return out
+	return b.out
 }
 
 // rollbackOplog: node i removes its newest oplog entry because some node j
 // is strictly more up-to-date and their logs have diverged (i's log is not
 // a prefix of j's). Repeated application removes the whole divergent
 // suffix.
-func rollbackOplog(s State) []State {
-	var out []State
+func rollbackOplog(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		if len(s.Oplogs[i]) == 0 {
@@ -67,9 +186,9 @@ func rollbackOplog(s State) []State {
 			continue
 		}
 		l := len(s.Oplogs[i]) - 1
-		out = append(out, s.withOplog(i, s.Oplogs[i][:l:l]))
+		b.oplog(i, s.Oplogs[i][:l:l])
 	}
-	return out
+	return b.out
 }
 
 // quorumTable lists, for each candidate i of an n-node replica set, every
@@ -129,8 +248,8 @@ func quorums(n, i int) [][]int {
 // other node reverts to follower.
 //
 // qs is quorumTable(s.NumNodes()).
-func becomePrimaryByMagic(s State, globalTerm bool, qs [][][]int) []State {
-	var out []State
+func becomePrimaryByMagic(s State, keep func(State) bool, globalTerm bool, qs [][][]int) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		for _, q := range qs[i] {
@@ -144,14 +263,13 @@ func becomePrimaryByMagic(s State, globalTerm bool, qs [][][]int) []State {
 			if !eligible {
 				continue
 			}
-			c := s
-			c.Roles = make([]Role, n) // all Follower
-			c.Roles[i] = Leader
-			c.Terms = slices.Clone(s.Terms)
+			roles, terms := b.roles(), b.terms()
+			clear(roles) // all Follower
+			roles[i] = Leader
 			if globalTerm {
 				newTerm := s.maxTerm() + 1
-				for j := range c.Terms {
-					c.Terms[j] = newTerm
+				for j := range terms {
+					terms[j] = newTerm
 				}
 			} else {
 				newTerm := 0
@@ -162,35 +280,34 @@ func becomePrimaryByMagic(s State, globalTerm bool, qs [][][]int) []State {
 				}
 				newTerm++
 				for _, j := range q {
-					c.Terms[j] = newTerm
+					terms[j] = newTerm
 				}
 			}
-			out = append(out, c)
+			b.rolesTerms(roles, terms)
 		}
 	}
-	return out
+	return b.out
 }
 
 // stepdown: a leader voluntarily becomes a follower.
-func stepdown(s State) []State {
-	var out []State
+func stepdown(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	for i, r := range s.Roles {
 		if r != Leader {
 			continue
 		}
-		c := s
-		c.Roles = slices.Clone(s.Roles)
-		c.Roles[i] = Follower
-		out = append(out, c)
+		roles := b.roles()
+		roles[i] = Follower
+		b.rolesTerms(roles, nil)
 	}
-	return out
+	return b.out
 }
 
 // clientWrite: a leader executes a write, appending an entry stamped with
 // its current term to its own oplog. It is the only action that allocates
 // an oplog: the copy is exactly one entry longer, so it is clipped.
-func clientWrite(s State) []State {
-	var out []State
+func clientWrite(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	for i, r := range s.Roles {
 		if r != Leader {
 			continue
@@ -198,17 +315,17 @@ func clientWrite(s State) []State {
 		log := make([]int, len(s.Oplogs[i])+1)
 		copy(log, s.Oplogs[i])
 		log[len(log)-1] = s.Terms[i]
-		out = append(out, s.withOplog(i, log))
+		b.oplog(i, log)
 	}
-	return out
+	return b.out
 }
 
 // advanceCommitPoint: the leader advances its commit point to the newest
 // entry of its oplog that a majority of nodes have replicated. Per Raft's
 // commit rule, the leader only directly commits entries from its own
 // current term.
-func advanceCommitPoint(s State) []State {
-	var out []State
+func advanceCommitPoint(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i, r := range s.Roles {
 		if r != Leader {
@@ -237,57 +354,57 @@ func advanceCommitPoint(s State) []State {
 		if best == s.CommitPoints[i] {
 			continue
 		}
-		out = append(out, s.withCommitPoint(i, best))
+		b.commitPoint(i, best)
 	}
-	return out
+	return b.out
 }
 
 // learnCommitPointV1: in the global-term variant, a node simply copies a
 // newer commit point from any node — with a single global term there is
 // nothing to cross-check.
-func learnCommitPointV1(s State) []State {
-	var out []State
+func learnCommitPointV1(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j || !s.CommitPoints[i].Before(s.CommitPoints[j]) {
 				continue
 			}
-			out = append(out, s.withCommitPoint(i, s.CommitPoints[j]))
+			b.commitPoint(i, s.CommitPoints[j])
 		}
 	}
-	return out
+	return b.out
 }
 
 // updateTermThroughHeartbeat: node i learns a newer election term from any
 // node j. If i believed itself leader, discovering a newer term makes it
 // step down — as in the implementation.
-func updateTermThroughHeartbeat(s State) []State {
-	var out []State
+func updateTermThroughHeartbeat(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j || s.Terms[j] <= s.Terms[i] {
 				continue
 			}
-			c := s
-			c.Terms = slices.Clone(s.Terms)
-			c.Terms[i] = s.Terms[j]
+			terms := b.terms()
+			terms[i] = s.Terms[j]
+			var roles []Role
 			if s.Roles[i] == Leader {
-				c.Roles = slices.Clone(s.Roles)
-				c.Roles[i] = Follower
+				roles = b.roles()
+				roles[i] = Follower
 			}
-			out = append(out, c)
+			b.rolesTerms(roles, terms)
 		}
 	}
-	return out
+	return b.out
 }
 
 // learnCommitPointWithTermCheck: node i adopts node j's newer commit point
 // only if the commit point's term is not newer than i's own term — a node
 // must not trust a commit point from a term it has not yet heard of.
-func learnCommitPointWithTermCheck(s State) []State {
-	var out []State
+func learnCommitPointWithTermCheck(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
@@ -297,18 +414,18 @@ func learnCommitPointWithTermCheck(s State) []State {
 			if s.CommitPoints[j].Term > s.Terms[i] {
 				continue
 			}
-			out = append(out, s.withCommitPoint(i, s.CommitPoints[j]))
+			b.commitPoint(i, s.CommitPoints[j])
 		}
 	}
-	return out
+	return b.out
 }
 
 // learnCommitPointFromSyncSourceNeverBeyondLastApplied: node i learns the
 // commit point from a node j it could sync from (i's oplog is a prefix of
 // j's), capped at i's own last applied entry — a node may not advertise a
 // commit point beyond the data it actually has.
-func learnCommitPointFromSyncSource(s State) []State {
-	var out []State
+func learnCommitPointFromSyncSource(s State, keep func(State) bool) []State {
+	b := successors{s: s, keep: keep}
 	n := s.NumNodes()
 	for i := 0; i < n; i++ {
 		if len(s.Oplogs[i]) == 0 {
@@ -326,10 +443,10 @@ func learnCommitPointFromSyncSource(s State) []State {
 			if !s.CommitPoints[i].Before(learned) {
 				continue
 			}
-			out = append(out, s.withCommitPoint(i, learned))
+			b.commitPoint(i, learned)
 		}
 	}
-	return out
+	return b.out
 }
 
 // withOplog returns s with node i's oplog replaced by log, which must be

@@ -230,7 +230,7 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	s.Oplogs[1] = []int{1}
 	s.Terms = []int{1, 1, 0}
 	// Node 2 (empty log) must not be electable with voters {0,1}: both are ahead.
-	for _, succ := range becomePrimaryByMagic(s, false, quorumTable(3)) {
+	for _, succ := range becomePrimaryByMagic(s, nil, false, quorumTable(3)) {
 		for i, r := range succ.Roles {
 			if r == Leader && i == 2 {
 				t.Errorf("node 2 elected with stale log: %v", succ)
@@ -239,7 +239,7 @@ func TestBecomePrimaryRequiresUpToDateLog(t *testing.T) {
 	}
 	// Node 0 must be electable (voter set {0,2}: node 2 not ahead).
 	elected0 := false
-	for _, succ := range becomePrimaryByMagic(s, false, quorumTable(3)) {
+	for _, succ := range becomePrimaryByMagic(s, nil, false, quorumTable(3)) {
 		if succ.Roles[0] == Leader {
 			elected0 = true
 		}
@@ -256,13 +256,13 @@ func TestAdvanceCommitPointRequiresCurrentTerm(t *testing.T) {
 	s.Oplogs[0] = []int{1} // entry from an older term, replicated everywhere
 	s.Oplogs[1] = []int{1}
 	s.Oplogs[2] = []int{1}
-	if succs := advanceCommitPoint(s); len(succs) != 0 {
+	if succs := advanceCommitPoint(s, nil); len(succs) != 0 {
 		t.Errorf("leader committed an old-term entry directly: %v", succs)
 	}
 	// Once the leader writes in its own term and it replicates, both commit.
 	s.Oplogs[0] = []int{1, 2}
 	s.Oplogs[1] = []int{1, 2}
-	succs := advanceCommitPoint(s)
+	succs := advanceCommitPoint(s, nil)
 	if len(succs) != 1 {
 		t.Fatalf("expected one successor, got %d", len(succs))
 	}
@@ -279,7 +279,7 @@ func TestLearnCommitPointTermCheckBlocksFutureTerms(t *testing.T) {
 	s.Oplogs[1] = []int{2}
 	s.Oplogs[2] = []int{2}
 	s.CommitPoints[1] = CommitPoint{Term: 2, Index: 1}
-	for _, succ := range learnCommitPointWithTermCheck(s) {
+	for _, succ := range learnCommitPointWithTermCheck(s, nil) {
 		if succ.CommitPoints[0] == (CommitPoint{Term: 2, Index: 1}) {
 			t.Error("node 0 (term 1) trusted a term-2 commit point")
 		}
@@ -294,7 +294,7 @@ func TestLearnFromSyncSourceCapsAtLastApplied(t *testing.T) {
 	s.Oplogs[2] = []int{1, 1}
 	s.CommitPoints[1] = CommitPoint{Term: 1, Index: 2}
 	var got []CommitPoint
-	for _, succ := range learnCommitPointFromSyncSource(s) {
+	for _, succ := range learnCommitPointFromSyncSource(s, nil) {
 		if succ.CommitPoints[0] != s.CommitPoints[0] {
 			got = append(got, succ.CommitPoints[0])
 		}

@@ -13,13 +13,15 @@ func SpecV1(cfg Config) *tla.Spec[State] {
 		Name: "RaftMongoV1",
 		Init: func() []State { return []State{cfg.initState()} },
 		Actions: []tla.Action[State]{
-			{Name: "AppendOplog", Next: appendOplog},
-			{Name: "RollbackOplog", Next: rollbackOplog},
-			{Name: "BecomePrimaryByMagic", Next: func(s State) []State { return becomePrimaryByMagic(s, true, qs) }},
-			{Name: "Stepdown", Next: stepdown},
-			{Name: "ClientWrite", Next: clientWrite},
-			{Name: "AdvanceCommitPoint", Next: advanceCommitPoint},
-			{Name: "LearnCommitPoint", Next: learnCommitPointV1},
+			action("AppendOplog", appendOplog),
+			action("RollbackOplog", rollbackOplog),
+			action("BecomePrimaryByMagic", func(s State, keep func(State) bool) []State {
+				return becomePrimaryByMagic(s, keep, true, qs)
+			}),
+			action("Stepdown", stepdown),
+			action("ClientWrite", clientWrite),
+			action("AdvanceCommitPoint", advanceCommitPoint),
+			action("LearnCommitPoint", learnCommitPointV1),
 		},
 		Invariants: []tla.Invariant[State]{
 			{Name: "CommitPointIsCommitted", Check: commitPointIsCommitted},
@@ -43,15 +45,17 @@ func SpecV2(cfg Config) *tla.Spec[State] {
 		Name: "RaftMongoV2",
 		Init: func() []State { return []State{cfg.initState()} },
 		Actions: []tla.Action[State]{
-			{Name: "AppendOplog", Next: appendOplog},
-			{Name: "RollbackOplog", Next: rollbackOplog},
-			{Name: "BecomePrimaryByMagic", Next: func(s State) []State { return becomePrimaryByMagic(s, false, qs) }},
-			{Name: "Stepdown", Next: stepdown},
-			{Name: "ClientWrite", Next: clientWrite},
-			{Name: "AdvanceCommitPoint", Next: advanceCommitPoint},
-			{Name: "UpdateTermThroughHeartbeat", Next: updateTermThroughHeartbeat},
-			{Name: "LearnCommitPointWithTermCheck", Next: learnCommitPointWithTermCheck},
-			{Name: "LearnCommitPointFromSyncSourceNeverBeyondLastApplied", Next: learnCommitPointFromSyncSource},
+			action("AppendOplog", appendOplog),
+			action("RollbackOplog", rollbackOplog),
+			action("BecomePrimaryByMagic", func(s State, keep func(State) bool) []State {
+				return becomePrimaryByMagic(s, keep, false, qs)
+			}),
+			action("Stepdown", stepdown),
+			action("ClientWrite", clientWrite),
+			action("AdvanceCommitPoint", advanceCommitPoint),
+			action("UpdateTermThroughHeartbeat", updateTermThroughHeartbeat),
+			action("LearnCommitPointWithTermCheck", learnCommitPointWithTermCheck),
+			action("LearnCommitPointFromSyncSourceNeverBeyondLastApplied", learnCommitPointFromSyncSource),
 		},
 		Invariants: []tla.Invariant[State]{
 			{Name: "CommitPointIsCommitted", Check: commitPointIsCommitted},
@@ -61,6 +65,16 @@ func SpecV2(cfg Config) *tla.Spec[State] {
 		Constraint:      cfg.constraint,
 		SymmetryVisitor: cfg.symmetry(),
 		Independence:    Independence(),
+	}
+}
+
+// action makes a tla.Action of an action written in keep form (see
+// actions.go): Next is the unfiltered call, NextWhere the filtered one.
+func action(name string, where func(State, func(State) bool) []State) tla.Action[State] {
+	return tla.Action[State]{
+		Name:      name,
+		Next:      func(s State) []State { return where(s, nil) },
+		NextWhere: where,
 	}
 }
 

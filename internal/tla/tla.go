@@ -52,6 +52,17 @@ type State interface {
 type Action[S State] struct {
 	Name string
 	Next func(S) []S
+	// NextWhere, when set, is Next filtered before the successors are
+	// built: it returns exactly the elements of Next(s), in the same
+	// order, for which keep holds. An action can then build each
+	// candidate in scratch slices that belong to the call, hand it to
+	// keep, and give only the kept ones slices of their own, so a
+	// rejected candidate costs one keep call. keep must therefore
+	// neither retain nor change its argument. The trace checker calls
+	// NextWhere with the observation's Matches when it is set, and Next
+	// followed by Matches when it is not; model checking uses only Next.
+	// NextWhere is called concurrently exactly as Next is.
+	NextWhere func(s S, keep func(S) bool) []S
 }
 
 // Invariant is a named state predicate checked at every reachable state.

@@ -16,7 +16,8 @@ import (
 //
 // Unless TraceOptions.Workers is 1, Matches is called from multiple
 // goroutines concurrently during the frontier advance and must not mutate
-// shared state.
+// shared state. Matches may see a scratch state valid only during the call
+// (see Action.NextWhere) and must not retain it.
 type Observation[S State] interface {
 	Matches(s S) bool
 	String() string
@@ -257,6 +258,8 @@ func CheckTraceWith[S State](spec *Spec[S], trace []Observation[S], opts TraceOp
 // advanceFrontier computes, in parallel, every successor (and, with
 // stuttering, every unchanged frontier state) consistent with obs. Chunks
 // come back in frontier order so the merged next frontier is deterministic.
+// An action with NextWhere filters its candidates by obs before building
+// them; the others build every successor and obs filters them after.
 func advanceFrontier[S State](spec *Spec[S], wcods []*codec[S], frontier []S, obs Observation[S], stuttering bool) []frontierChunk[S] {
 	plan := planChunks(len(frontier), len(wcods))
 	chunks := make([]frontierChunk[S], plan.nChunks)
@@ -274,13 +277,20 @@ func advanceFrontier[S State](spec *Spec[S], wcods []*codec[S], frontier []S, ob
 				ch.keys = append(ch.keys, k)
 			}
 		}
+		matches := obs.Matches // bound once: no method value per call
 		for _, s := range frontier[lo:hi] {
-			if stuttering && obs.Matches(s) {
+			if stuttering && matches(s) {
 				add(s, stutterAction)
 			}
 			for _, a := range spec.Actions {
+				if a.NextWhere != nil {
+					for _, succ := range a.NextWhere(s, matches) {
+						add(succ, a.Name)
+					}
+					continue
+				}
 				for _, succ := range a.Next(s) {
-					if obs.Matches(succ) {
+					if matches(succ) {
 						add(succ, a.Name)
 					}
 				}

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/raftmongo"
 )
@@ -37,6 +38,11 @@ type ProcessResult struct {
 //     reports node N as Leader, N becomes Leader and all others Follower.
 //     If N was Leader and now reports Follower, only N changes.
 //   - term, commitPoint, oplog: N's values are replaced; others keep theirs.
+//
+// The states are copy-on-write, as raftmongo.State requires: a state
+// shares with its predecessor every slice its event did not write, so an
+// event costs its own oplog plus O(nodes), whatever the other nodes'
+// oplog lengths. Every oplog is clipped and read-only.
 func Process(nodes int, events []Event, opts ProcessOptions) (*ProcessResult, error) {
 	cur := initialState(nodes)
 	res := &ProcessResult{States: []raftmongo.State{cur}}
@@ -71,44 +77,64 @@ func initialState(nodes int) raftmongo.State {
 	return s
 }
 
-// combine implements the Figure 3 transition S + E -> S'.
+// combine implements the Figure 3 transition S + E -> S'. It copies only
+// the slices the event writes: node N's new oplog, Terms, CommitPoints,
+// the Oplogs header, and Roles when the event changes a role.
 func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, bool, error) {
 	n := e.Node
-	next := cloneState(s)
+	next := s
 	switch e.Role {
 	case "Leader":
-		for i := range next.Roles {
-			next.Roles[i] = raftmongo.Follower
+		if !soleLeader(s.Roles, n) {
+			next.Roles = make([]raftmongo.Role, len(s.Roles)) // all Follower
+			next.Roles[n] = raftmongo.Leader
 		}
-		next.Roles[n] = raftmongo.Leader
 	case "Follower":
-		next.Roles[n] = raftmongo.Follower
+		if s.Roles[n] != raftmongo.Follower {
+			next.Roles = slices.Clone(s.Roles)
+			next.Roles[n] = raftmongo.Follower
+		}
 	default:
-		return next, false, fmt.Errorf("unknown role %q", e.Role)
+		return s, false, fmt.Errorf("unknown role %q", e.Role)
 	}
-	next.Terms[n] = e.Term
-	next.CommitPoints[n] = e.CommitPoint()
 
-	oplog := append([]int(nil), e.Oplog...)
+	var prefix []int
 	filled := false
 	switch {
-	case e.OplogStart == 1 || (e.OplogStart == 0 && len(oplog) == 0):
+	case e.OplogStart == 1 || (e.OplogStart == 0 && len(e.Oplog) == 0):
 		// Complete oplog reported.
 	case e.OplogStart > 1:
 		if !opts.FillOplogPrefixes {
-			return next, false, fmt.Errorf("node %d reported a truncated oplog (start %d) and prefix filling is disabled", n, e.OplogStart)
+			return s, false, fmt.Errorf("node %d reported a truncated oplog (start %d) and prefix filling is disabled", n, e.OplogStart)
 		}
-		prefix, err := findPrefix(s, n, e.OplogStart-1, oplog)
-		if err != nil {
-			return next, false, err
+		var err error
+		if prefix, err = findPrefix(s, n, e.OplogStart-1, e.Oplog); err != nil {
+			return s, false, err
 		}
-		oplog = append(append([]int(nil), prefix...), oplog...)
 		filled = true
 	default:
-		return next, false, fmt.Errorf("node %d event has invalid oplog start %d", n, e.OplogStart)
+		return s, false, fmt.Errorf("node %d event has invalid oplog start %d", n, e.OplogStart)
 	}
+	oplog := make([]int, 0, len(prefix)+len(e.Oplog)) // clipped once full
+	oplog = append(append(oplog, prefix...), e.Oplog...)
+
+	next.Terms = slices.Clone(s.Terms)
+	next.Terms[n] = e.Term
+	next.CommitPoints = slices.Clone(s.CommitPoints)
+	next.CommitPoints[n] = e.CommitPoint()
+	next.Oplogs = slices.Clone(s.Oplogs)
 	next.Oplogs[n] = oplog
 	return next, filled, nil
+}
+
+// soleLeader reports whether n is the only leader in roles.
+func soleLeader(roles []raftmongo.Role, n int) bool {
+	for i, r := range roles {
+		if (r == raftmongo.Leader) != (i == n) {
+			return false
+		}
+	}
+	return true
 }
 
 // findPrefix locates the missing first `need` oplog entries for node n by
@@ -117,13 +143,13 @@ func combine(s raftmongo.State, e Event, opts ProcessOptions) (raftmongo.State, 
 // "filled in the missing entries while it generated the state sequence" —
 // and inherits its documented risk: a bug here could mask a real
 // transcription bug, which is why PrefixFill events are counted and
-// reported.
+// reported. The prefix returned aliases a current oplog: it is read-only.
 func findPrefix(s raftmongo.State, n, need int, suffix []int) ([]int, error) {
 	// The node's own previous (already filled) oplog is the natural donor:
 	// the hidden prefix cannot have changed while the node rolled back or
 	// appended at the tail.
 	if len(s.Oplogs[n]) >= need {
-		return append([]int(nil), s.Oplogs[n][:need]...), nil
+		return s.Oplogs[n][:need], nil
 	}
 	for j := range s.Oplogs {
 		if j == n {
@@ -143,23 +169,10 @@ func findPrefix(s raftmongo.State, n, need int, suffix []int) ([]int, error) {
 			}
 		}
 		if ok {
-			return append([]int(nil), donor[:need]...), nil
+			return donor[:need], nil
 		}
 	}
 	return nil, fmt.Errorf("no node's oplog can supply the %d missing prefix entries for node %d", need, n)
-}
-
-func cloneState(s raftmongo.State) raftmongo.State {
-	c := raftmongo.State{
-		Roles:        append([]raftmongo.Role(nil), s.Roles...),
-		Terms:        append([]int(nil), s.Terms...),
-		CommitPoints: append([]raftmongo.CommitPoint(nil), s.CommitPoints...),
-		Oplogs:       make([][]int, len(s.Oplogs)),
-	}
-	for i, log := range s.Oplogs {
-		c.Oplogs[i] = append([]int(nil), log...)
-	}
-	return c
 }
 
 // Observations adapts a state sequence for the trace checker: each state
